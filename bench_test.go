@@ -19,7 +19,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/defense"
@@ -113,30 +112,22 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCores measures the barrier-parallel in-run core
-// scheduler against the sequential one on a 4-core Parsec workload
-// (sim-insts/s per worker count). cmd/benchrecord runs the same
-// comparison — with a bit-exactness cross-check — and records it in
-// BENCH_parallel_cores.json; on hosts with fewer CPUs than workers the
-// barrier degrades to cooperative yielding and ~1× is the ceiling.
-func BenchmarkParallelCores(b *testing.B) {
+// BenchmarkMultiCoreThroughput measures simulator throughput
+// (sim-insts/s) on a 4-core Parsec workload under MuonTrap, where
+// coherence, filter-cache flushes and the OS timer are on the run loop.
+func BenchmarkMultiCoreThroughput(b *testing.B) {
 	spec, _ := workload.ByName("canneal")
 	mo := benchOptions()
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := figures.Options{Scale: mo.Scale, MaxCycles: mo.MaxCycles, CoreParallelism: workers}
-			var insts uint64
-			for i := 0; i < b.N; i++ {
-				res, err := figures.RunOne(context.Background(), spec, defense.MuonTrap(), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts += res.Committed
-			}
-			b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
-		})
+	opt := figures.Options{Scale: mo.Scale, MaxCycles: mo.MaxCycles}
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		res, err := figures.RunOne(context.Background(), spec, defense.MuonTrap(), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts += res.Committed
 	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
 }
 
 // BenchmarkAttackSpectre measures one full Spectre attack trial

@@ -152,7 +152,7 @@ func (e *Executor) runJob(ctx context.Context, j Job) (sim.RunResult, error) {
 	run := j.Custom
 	if run == nil {
 		key = runKey{workload: j.Spec.Name, scheme: j.Scheme.Name,
-			scale: j.Opt.Scale, maxCycles: j.Opt.MaxCycles}
+			scale: j.Opt.Scale, maxCycles: j.Opt.maxCycles()}
 		opt := j.Opt
 		spec, sch := j.Spec, j.Scheme
 		run = func(ctx context.Context) (sim.RunResult, error) {

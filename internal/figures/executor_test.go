@@ -3,10 +3,13 @@ package figures
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/defense"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 	"repro/internal/workload"
 )
 
@@ -154,5 +157,73 @@ func TestFigureTableBytesParallelVsSequential(t *testing.T) {
 	ResetRunCache()
 	if seq != par {
 		t.Fatalf("parallel table differs from sequential:\n--- seq ---\n%s--- par ---\n%s", seq, par)
+	}
+}
+
+// TestParallelCoresMatchSequentialAllWorkloads is the isolation gate
+// behind the executor's way of using a many-core host: independent cells
+// run side by side on host cores, never one simulation split across them.
+// For every workload in both suites, the six compared schemes are
+// simulated concurrently (one goroutine each, released together) and each
+// result must equal, counter for counter, the same cell simulated alone.
+// Any mutable state shared between simulations — a package-level pool, a
+// lazily built table, a cached program image — shows up here as a
+// divergence or, under -race, as a data race.
+func TestParallelCoresMatchSequentialAllWorkloads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure-scale simulation")
+	}
+	opt := tinyOptions()
+	specs := append(workload.SPEC2006(), workload.Parsec()...)
+	if simtest.RaceEnabled {
+		// Under the race detector the full 33×6 matrix costs several
+		// minutes; keep one workload per distinct access pattern plus
+		// both Parsec coherence shapes.
+		keep := map[string]bool{
+			"hmmer": true, "astar": true, "bwaves": true, "cactusADM": true,
+			"soplex": true, "blackscholes": true, "ferret": true,
+		}
+		kept := specs[:0]
+		for _, sp := range specs {
+			if keep[sp.Name] {
+				kept = append(kept, sp)
+			}
+		}
+		specs = kept
+	}
+	for _, sp := range specs {
+		sp := sp
+		t.Run(sp.Name, func(t *testing.T) {
+			t.Parallel()
+			schemes := sixSchemes()
+			golden := make([]sim.RunResult, len(schemes))
+			for i, sch := range schemes {
+				res, err := RunOne(context.Background(), sp, sch, opt)
+				if err != nil {
+					t.Fatalf("%s sequential: %v", sch.Name, err)
+				}
+				golden[i] = res
+			}
+			got := make([]sim.RunResult, len(schemes))
+			errs := make([]error, len(schemes))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i, sch := range schemes {
+				wg.Add(1)
+				go func(i int, sch defense.Scheme) {
+					defer wg.Done()
+					<-start
+					got[i], errs[i] = RunOne(context.Background(), sp, sch, opt)
+				}(i, sch)
+			}
+			close(start)
+			wg.Wait()
+			for i, sch := range schemes {
+				if errs[i] != nil {
+					t.Fatalf("%s concurrent: %v", sch.Name, errs[i])
+				}
+				simtest.ResultsEqual(t, sch.Name+" concurrent", golden[i], got[i])
+			}
+		})
 	}
 }

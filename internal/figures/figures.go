@@ -3,7 +3,6 @@ package figures
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -31,19 +30,11 @@ type Options struct {
 	// Scale multiplies every workload's trip count (1.0 ≈ a few hundred
 	// thousand instructions per run; benchmarks and tests use less).
 	Scale float64
-	// MaxCycles bounds each run.
+	// MaxCycles bounds each run; zero or negative inherits the
+	// 40M-cycle default.
 	MaxCycles int
 	// Parallelism caps concurrent runs (0 = GOMAXPROCS).
 	Parallelism int
-	// CoreParallelism sets how many goroutines tick cores *inside* one
-	// run (the barrier-parallel scheduler): 0 (the default) auto-selects
-	// min(GOMAXPROCS, simulated cores) — on for multi-core rows on
-	// multi-core hosts, off on single-CPU machines; 1 forces the
-	// sequential scheduler; n>1 requests n workers (the simulator clamps
-	// to the machine's core count). The setting changes wall time only —
-	// parallel and sequential runs are bit-identical by construction — so
-	// it is deliberately NOT part of any result or checkpoint cache key.
-	CoreParallelism int
 	// WarmupInsts, when positive, architecturally fast-forwards this many
 	// instructions per workload once, checkpoints the warmed machine, and
 	// forks every per-scheme run of that workload's figure row from the
@@ -92,22 +83,24 @@ func (o Options) ckptEvery() int {
 	return 0
 }
 
+// defaultMaxCycles is the per-run cycle bound of DefaultOptions, and the
+// bound a zero or negative Options.MaxCycles inherits.
+const defaultMaxCycles = 40_000_000
+
+// maxCycles resolves MaxCycles for runs and cache keys, so a zero-value
+// Options bounds runs like DefaultOptions (as muontrap.Runner does)
+// instead of failing every run at cycle 0.
+func (o Options) maxCycles() int {
+	if o.MaxCycles > 0 {
+		return o.MaxCycles
+	}
+	return defaultMaxCycles
+}
+
 // DefaultOptions is sized for the bench harness: big enough for stable
 // shapes, small enough to finish the full matrix in minutes.
 func DefaultOptions() Options {
-	return Options{Scale: 0.15, MaxCycles: 40_000_000}
-}
-
-// coreWorkers resolves CoreParallelism to a concrete in-run worker
-// count: 0 auto-selects the host's GOMAXPROCS (the simulator clamps to
-// the machine's core count, so single-core SPEC rows stay sequential);
-// explicit values pass through, with <=1 selecting the sequential
-// scheduler.
-func (o Options) coreWorkers() int {
-	if o.CoreParallelism != 0 {
-		return o.CoreParallelism
-	}
-	return runtime.GOMAXPROCS(0)
+	return Options{Scale: 0.15, MaxCycles: defaultMaxCycles}
 }
 
 // runKey identifies one deterministic simulation: every figure input that
@@ -262,7 +255,7 @@ func buildRun(spec workload.Spec, sch defense.Scheme, opt Options) *sim.System {
 // reset. Cancelling ctx mid-simulation returns ctx.Err().
 func RunOne(ctx context.Context, spec workload.Spec, sch defense.Scheme, opt Options) (sim.RunResult, error) {
 	return forkOrRun(ctx, spec, opt, buildRun(spec, sch, opt),
-		runKey{workload: spec.Name, scheme: sch.Name, scale: opt.Scale, maxCycles: opt.MaxCycles})
+		runKey{workload: spec.Name, scheme: sch.Name, scale: opt.Scale, maxCycles: opt.maxCycles()})
 }
 
 // runMatrix executes jobs through the shared executor and returns cycles
@@ -359,7 +352,7 @@ func sweepRun(ctx context.Context, spec workload.Spec, sizeBytes uint64, assoc i
 	}
 	return forkOrRun(ctx, spec, opt, sys,
 		runKey{workload: spec.Name, scheme: "muontrap-sweep", scale: opt.Scale,
-			maxCycles: opt.MaxCycles, l0dSize: sizeBytes, l0dAssoc: assoc})
+			maxCycles: opt.maxCycles(), l0dSize: sizeBytes, l0dAssoc: assoc})
 }
 
 // geometryFigure builds Figures 5/6: the insecure baseline plus one
@@ -376,7 +369,7 @@ func geometryFigure(ctx context.Context, title string, opt Options,
 			jobs = append(jobs, Job{
 				Spec: sp, Opt: opt, Work: sp.Name, Series: series(i),
 				CustomKey: runKey{workload: sp.Name, scheme: "muontrap-sweep",
-					scale: opt.Scale, maxCycles: opt.MaxCycles,
+					scale: opt.Scale, maxCycles: opt.maxCycles(),
 					l0dSize: size, l0dAssoc: assoc},
 				Custom: func(ctx context.Context) (sim.RunResult, error) {
 					return sweepRun(ctx, sp, size, assoc, opt)

@@ -86,3 +86,36 @@ func TestComparisonFigureTinySubset(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroMaxCyclesInheritsDefault pins that a zero or negative
+// Options.MaxCycles bounds runs like DefaultOptions instead of failing
+// every run at cycle 0.
+func TestZeroMaxCyclesInheritsDefault(t *testing.T) {
+	spec, _ := workload.ByName("hmmer")
+	sch := defense.Insecure()
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"zero value", Options{}},
+		{"zero MaxCycles", Options{Scale: 0.02}},
+		{"negative MaxCycles", Options{Scale: 0.02, MaxCycles: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, want := tc.opt.maxCycles(), DefaultOptions().MaxCycles; got != want {
+				t.Fatalf("maxCycles() = %d, want %d", got, want)
+			}
+			got, err := RunOne(context.Background(), spec, sch, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			explicit := tc.opt
+			explicit.MaxCycles = DefaultOptions().MaxCycles
+			want, err := RunOne(context.Background(), spec, sch, explicit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsEqual(t, tc.name, want, got)
+		})
+	}
+}

@@ -14,7 +14,8 @@
 //     line/page geometry constants (LineBytes, PageBytes) shared by the
 //     whole hierarchy.
 //   - Physical: sparse 4KiB-frame memory. Reads of unbacked memory return
-//     zeroes; writes allocate frames on demand. Save elides all-zero
+//     zeroes; writes allocate frames on demand, except that WriteData
+//     skips zero chunks bound for absent frames. Save elides all-zero
 //     frames — semantically invisible — and serialises the rest in frame
 //     order, so equal contents always produce equal snapshot bytes.
 //   - DRAM / DRAMConfig: a bank-aware open-row latency model (per-bank row

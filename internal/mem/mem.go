@@ -91,11 +91,34 @@ func (p *Physical) Write64(a Addr, v uint64) {
 	}
 }
 
-// WriteData copies b into physical memory starting at a.
+// WriteData copies b into physical memory starting at a, a frame at a
+// time. A chunk of zeroes bound for an absent frame is skipped rather
+// than allocating the frame: it already reads as zero, and Save elides
+// all-zero frames, so contents and snapshot bytes are unchanged. Loading a
+// program image therefore allocates only the frames that hold data.
 func (p *Physical) WriteData(a Addr, b []byte) {
-	for i, v := range b {
-		p.Write8(a+Addr(i), v)
+	for len(b) > 0 {
+		off := uint64(a) % PageBytes
+		chunk := b[:min(uint64(len(b)), PageBytes-off)]
+		f := p.frame(a, false)
+		if f == nil && !allZero(chunk) {
+			f = p.frame(a, true)
+		}
+		if f != nil {
+			copy(f[off:], chunk)
+		}
+		a += Addr(len(chunk))
+		b = b[len(chunk):]
 	}
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadData copies n bytes starting at a into a fresh slice.

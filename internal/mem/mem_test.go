@@ -56,6 +56,69 @@ func TestPhysicalBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteDataZeroAllocatesNoFrames pins the page-wise program load: an
+// all-zero image, straddling frames, leaves memory unbacked.
+func TestWriteDataZeroAllocatesNoFrames(t *testing.T) {
+	p := NewPhysical()
+	p.WriteData(PageBytes-100, make([]byte, 3*PageBytes))
+	if n := p.FrameCount(); n != 0 {
+		t.Fatalf("FrameCount = %d after an all-zero WriteData, want 0", n)
+	}
+	if p.Read64(PageBytes) != 0 {
+		t.Fatal("skipped zero chunk must still read zero")
+	}
+}
+
+// TestWriteDataMixedRoundTrip writes images of zero and non-zero runs,
+// some straddling frame boundaries, over memory that already holds data,
+// and checks ReadData returns exactly what a byte-wise Write8 reference
+// holds — zeroes written into a backed frame must overwrite it.
+func TestWriteDataMixedRoundTrip(t *testing.T) {
+	cases := []struct {
+		name string
+		at   Addr
+		img  func(i int) byte
+		n    int
+	}{
+		{"dense straddle", PageBytes - 7, func(i int) byte { return byte(i*31 + 1) }, 20},
+		{"zero page then data", 3 * PageBytes, func(i int) byte {
+			if i < PageBytes {
+				return 0
+			}
+			return byte(i)
+		}, 2*PageBytes + 9},
+		{"data then zero tail", 6*PageBytes + 4000, func(i int) byte {
+			if i < 50 {
+				return 0xaa
+			}
+			return 0
+		}, PageBytes + 200},
+		{"zeroes over data", 0x10, func(int) byte { return 0 }, 64},
+	}
+	p, ref := NewPhysical(), NewPhysical()
+	for _, a := range []Addr{0x10, 0x48, 7 * PageBytes} {
+		p.Write64(a, 0xdeadbeefcafef00d)
+		ref.Write64(a, 0xdeadbeefcafef00d)
+	}
+	for _, tc := range cases {
+		img := make([]byte, tc.n)
+		for i := range img {
+			img[i] = tc.img(i)
+		}
+		p.WriteData(tc.at, img)
+		for i, v := range img {
+			ref.Write8(tc.at+Addr(i), v)
+		}
+		if got := p.ReadData(tc.at, tc.n); string(got) != string(img) {
+			t.Fatalf("%s: ReadData differs from the written image", tc.name)
+		}
+	}
+	lo, hi := Addr(0), Addr(9*PageBytes)
+	if string(p.ReadData(lo, int(hi-lo))) != string(ref.ReadData(lo, int(hi-lo))) {
+		t.Fatal("page-wise WriteData and byte-wise Write8 disagree")
+	}
+}
+
 func TestPhysicalWord64Property(t *testing.T) {
 	f := func(addr uint32, v uint64) bool {
 		p := NewPhysical()

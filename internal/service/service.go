@@ -187,6 +187,10 @@ type Server struct {
 
 	shedQuota    uint64 // submissions shed 429 (per-tenant quota)
 	shedCapacity uint64 // submissions shed 503 (whole-daemon queue bound)
+
+	// beforeDurable, when set (tests only), runs as a finished job starts
+	// its durable writes, before its terminal state is published.
+	beforeDurable func(jobID string)
 }
 
 // New builds a Server and, when cfg.Dir is set, loads the job journal:
@@ -677,51 +681,52 @@ func (s *Server) finish(j *job, res *muontrap.SweepResult, err error) {
 	}
 
 	j.preempt = false
+	rec := j.rec
 	switch {
 	case err == nil:
-		j.rec.State = muontrap.JobDone
-		j.rec.Done = j.rec.Total
-		j.result = res
-		// The ring keeps its frames: a subscriber mid-replay continues
-		// through the real (completion-ordered) sequence it was reading.
-		// Memory stays bounded — the ring never exceeds its capacity —
-		// and subscribers arriving after the frames are gone (daemon
-		// restart, born-done cache hits) get a replay synthesized from
-		// the result instead.
+		rec.State = muontrap.JobDone
+		rec.Done = rec.Total
 	case j.cancelled:
-		j.rec.State = muontrap.JobCancelled
+		rec.State = muontrap.JobCancelled
 	case serverDying:
-		j.rec.State = muontrap.JobInterrupted
+		rec.State = muontrap.JobInterrupted
 	default:
-		j.rec.State = muontrap.JobFailed
-		j.rec.Error = err.Error()
+		rec.State = muontrap.JobFailed
+		rec.Error = err.Error()
 	}
-	j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
-	state := j.rec.State
-	detail := j.rec.Error
-	elapsed := sinceSeconds(j.born)
-	tenantName := j.rec.Tenant
+	rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
+	j.mu.Unlock()
+
+	// Durable before observable: store the result, then journal the
+	// terminal record, and only then publish it. A client acting on
+	// "done" (restarting the daemon, resubmitting the sweep) must find
+	// both on disk.
+	if s.beforeDurable != nil {
+		s.beforeDurable(rec.ID)
+	}
+	stored := rec.State == muontrap.JobDone && s.storeResult(rec.CacheKey, res)
+	if rec.State != muontrap.JobInterrupted {
+		s.writeJournal(rec)
+	}
+
+	j.mu.Lock()
+	j.rec.State, j.rec.Done, j.rec.Error, j.rec.FinishedAt = rec.State, rec.Done, rec.Error, rec.FinishedAt
+	if rec.State == muontrap.JobDone && !stored {
+		// A store failure, or an ephemeral cache-less daemon: the memory
+		// copy stays authoritative. Otherwise fetches are served from disk.
+		j.result = res
+	}
+	// The ring keeps its frames: a subscriber mid-replay continues through
+	// the real (completion-ordered) sequence it was reading. Subscribers
+	// arriving after the frames are gone (daemon restart, born-done cache
+	// hits) get a replay synthesized from the result instead.
 	for sub := range j.subs {
 		sub.poke()
 	}
-	key := j.rec.CacheKey
-	s.spanLocked(string(state), j, elapsed, detail)
+	elapsed := sinceSeconds(j.born)
+	s.spanLocked(string(rec.State), j, elapsed, rec.Error)
 	j.mu.Unlock()
-	s.met.observeJobSeconds(tenantName, elapsed)
-
-	if state == muontrap.JobDone {
-		if s.storeResult(key, res) {
-			// Durably stored: serve future fetches from disk and let the
-			// in-memory copy go. (On a store failure — or an ephemeral,
-			// cache-less daemon — the memory copy stays authoritative.)
-			j.mu.Lock()
-			j.result = nil
-			j.mu.Unlock()
-		}
-	}
-	if state != muontrap.JobInterrupted {
-		s.persist(j)
-	}
+	s.met.observeJobSeconds(rec.Tenant, elapsed)
 	s.releaseSlot(j)
 }
 
@@ -1072,16 +1077,22 @@ func validCacheKey(key string) bool {
 // the journal degrades restart-resume, so failures are reported on
 // stderr rather than swallowed.
 func (s *Server) persist(j *job) {
+	j.mu.Lock()
+	rec := j.rec
+	j.mu.Unlock()
+	s.writeJournal(rec)
+}
+
+// writeJournal writes one job record to the journal.
+func (s *Server) writeJournal(rec muontrap.Job) {
 	if s.cfg.Dir == "" {
 		return
 	}
-	j.mu.Lock()
 	e := jobEntry{
-		Version: journalVersion, Job: j.rec,
+		Version: journalVersion, Job: rec,
 		CheckpointEvery: s.cfg.CheckpointEvery, Warmup: s.cfg.Warmup,
 		Scale: s.cfg.Scale, MaxCycles: s.cfg.MaxCycles,
 	}
-	j.mu.Unlock()
 	b, err := json.MarshalIndent(e, "", "\t")
 	if err != nil {
 		return
