@@ -27,17 +27,13 @@ import (
 	"repro/muontrap"
 )
 
-// benchOptions sizes the figure regenerations for the bench harness.
-func benchOptions() muontrap.Options {
-	opt := muontrap.DefaultOptions()
-	opt.Scale = 0.12
-	return opt
-}
+// benchScale sizes the figure regenerations for the bench harness.
+const benchScale = 0.12
 
 // reportSeries emits each series' geomean as a benchmark metric.
-func reportSeries(b *testing.B, id string) {
+func reportSeries(b *testing.B, id muontrap.FigureID) {
 	b.Helper()
-	t, err := muontrap.Figure(id, benchOptions())
+	t, err := muontrap.NewRunner(muontrap.WithScale(benchScale)).Figure(context.Background(), id)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,43 +46,43 @@ func reportSeries(b *testing.B, id string) {
 
 func BenchmarkFig3SPECComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSeries(b, "fig3")
+		reportSeries(b, muontrap.Fig3)
 	}
 }
 
 func BenchmarkFig4ParsecComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSeries(b, "fig4")
+		reportSeries(b, muontrap.Fig4)
 	}
 }
 
 func BenchmarkFig5FilterSizeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSeries(b, "fig5")
+		reportSeries(b, muontrap.Fig5)
 	}
 }
 
 func BenchmarkFig6FilterAssocSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSeries(b, "fig6")
+		reportSeries(b, muontrap.Fig6)
 	}
 }
 
 func BenchmarkFig7StoreBroadcastRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSeries(b, "fig7")
+		reportSeries(b, muontrap.Fig7)
 	}
 }
 
 func BenchmarkFig8ParsecCumulative(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSeries(b, "fig8")
+		reportSeries(b, muontrap.Fig8)
 	}
 }
 
 func BenchmarkFig9SPECCumulative(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSeries(b, "fig9")
+		reportSeries(b, muontrap.Fig9)
 	}
 }
 
@@ -94,12 +90,13 @@ func BenchmarkFig9SPECCumulative(b *testing.B) {
 // instructions per wall-clock second on one representative kernel per
 // scheme (simulated-instructions/s reported as a custom metric).
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	for _, scheme := range []string{"insecure", "muontrap", "invisispec-future", "stt-future"} {
+	r := muontrap.NewRunner()
+	for _, scheme := range []muontrap.Scheme{"insecure", "muontrap", "invisispec-future", "stt-future"} {
 		scheme := scheme
-		b.Run(scheme, func(b *testing.B) {
+		b.Run(string(scheme), func(b *testing.B) {
 			var insts uint64
 			for i := 0; i < b.N; i++ {
-				res, err := muontrap.Run(muontrap.Config{
+				res, err := r.Run(context.Background(), muontrap.RunSpec{
 					Workload: "hmmer", Scheme: scheme, Scale: 0.3,
 				})
 				if err != nil {
@@ -117,8 +114,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // coherence, filter-cache flushes and the OS timer are on the run loop.
 func BenchmarkMultiCoreThroughput(b *testing.B) {
 	spec, _ := workload.ByName("canneal")
-	mo := benchOptions()
-	opt := figures.Options{Scale: mo.Scale, MaxCycles: mo.MaxCycles}
+	opt := figures.Options{Scale: benchScale}
 	var insts uint64
 	for i := 0; i < b.N; i++ {
 		res, err := figures.RunOne(context.Background(), spec, defense.MuonTrap(), opt)
@@ -151,8 +147,7 @@ func BenchmarkAttackSpectre(b *testing.B) {
 // disabled, every store to a loaded line pays an exclusive upgrade.
 func BenchmarkAblationSEUpgrade(b *testing.B) {
 	spec, _ := workload.ByName("lbm")
-	mo := benchOptions()
-	opt := figures.Options{Scale: mo.Scale, MaxCycles: mo.MaxCycles}
+	opt := figures.Options{Scale: benchScale}
 	for _, cfg := range []struct {
 		name string
 		sch  defense.Scheme

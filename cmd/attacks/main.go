@@ -8,8 +8,6 @@
 //
 //	attacks                          # full security matrix
 //	attacks -cache-dir .cache        # matrix with disk-cached cells
-//	attacks -legacy                  # old per-attack listing
-//	attacks -attack spectre -scheme muontrap -secret 7
 package main
 
 import (
@@ -22,64 +20,14 @@ import (
 )
 
 func main() {
-	var (
-		name     = flag.String("attack", "", "one attack (implies -legacy; default: all)")
-		scheme   = flag.String("scheme", "", "one scheme (legacy mode; default: insecure and muontrap)")
-		secret   = flag.Int("secret", 5, "secret value the victim holds (legacy mode)")
-		legacy   = flag.Bool("legacy", false, "per-attack listing instead of the matrix")
-		cacheDir = flag.String("cache-dir", "", "disk cache directory for matrix cells")
-	)
+	cacheDir := flag.String("cache-dir", "", "disk cache directory for matrix cells")
 	flag.Parse()
-
-	if *legacy || *name != "" || *scheme != "" {
-		runLegacy(*name, *scheme, *secret)
-		return
-	}
 
 	r := muontrap.NewRunner(muontrap.WithCacheDir(*cacheDir))
 	m, err := r.SecurityMatrix(context.Background())
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
 	fmt.Print(m.Render())
-}
-
-// runLegacy preserves the original per-attack output format.
-func runLegacy(name, scheme string, secret int) {
-	attacks := muontrap.AttackNames()
-	if name != "" {
-		a, err := muontrap.ParseAttackName(name)
-		if err != nil {
-			fatal(err)
-		}
-		attacks = []muontrap.AttackName{a}
-	}
-	schemes := []muontrap.Scheme{muontrap.SchemeInsecure, "muontrap"}
-	if scheme != "" {
-		s, err := muontrap.ParseScheme(scheme)
-		if err != nil {
-			fatal(err)
-		}
-		schemes = []muontrap.Scheme{s}
-	}
-
-	for _, sch := range schemes {
-		fmt.Printf("== scheme %s ==\n", sch)
-		for _, a := range attacks {
-			res, err := muontrap.Attack(a, sch, secret)
-			if err != nil {
-				fatal(err)
-			}
-			verdict := "defeated"
-			if res.Succeeded {
-				verdict = "LEAKED"
-			}
-			fmt.Printf("%-18s %-9s %v\n", a, verdict, res.Latencies)
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "error:", err)
-	os.Exit(1)
 }

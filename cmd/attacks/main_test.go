@@ -4,7 +4,6 @@ import (
 	"context"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/attack"
@@ -37,14 +36,5 @@ func TestBinaryMatrixMatchesFigures(t *testing.T) {
 	if string(stdout) != want.Render() {
 		t.Fatalf("binary matrix differs from the figures-level matrix:\nbinary:\n%s\nfigures:\n%s",
 			stdout, want.Render())
-	}
-
-	// Legacy mode still produces the old per-attack listing.
-	legacy, err := exec.Command(bin, "-attack", "spectre", "-scheme", "insecure").Output()
-	if err != nil {
-		t.Fatalf("attacks -legacy: %v", err)
-	}
-	if !strings.Contains(string(legacy), "spectre") || !strings.Contains(string(legacy), "LEAKED") {
-		t.Fatalf("legacy output lost its verdict line:\n%s", legacy)
 	}
 }

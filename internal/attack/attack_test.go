@@ -3,10 +3,22 @@ package attack
 import (
 	"testing"
 
+	"repro/internal/defense"
 	"repro/internal/event"
 	"repro/internal/memsys"
 )
 
+// mustScenario fetches a registry scenario by name.
+func mustScenario(name string) Scenario {
+	s, ok := ScenarioByName(name)
+	if !ok {
+		panic("attack: missing registry scenario " + name)
+	}
+	return s
+}
+
+// The paper's six attacks run under a memory-system mode with no
+// pipeline defense, through the same interpreter as the matrix.
 var (
 	insecure = memsys.Mode{}
 
@@ -26,7 +38,7 @@ var (
 
 func TestAttack1SpectreLeaksInsecure(t *testing.T) {
 	for _, secret := range []int{3, 7, 12} {
-		res := SpectrePrimeProbe(insecure, secret)
+		res := RunSecret(mustScenario("spectre"), defense.Scheme{Mode: insecure}, secret)
 		if !res.Succeeded {
 			t.Fatalf("Spectre should leak on the insecure baseline: %v", res)
 		}
@@ -35,7 +47,7 @@ func TestAttack1SpectreLeaksInsecure(t *testing.T) {
 
 func TestAttack1SpectreDefeatedByMuonTrap(t *testing.T) {
 	for _, secret := range []int{3, 7, 12} {
-		res := SpectrePrimeProbe(full, secret)
+		res := RunSecret(mustScenario("spectre"), defense.Scheme{Mode: full}, secret)
 		if res.Succeeded {
 			t.Fatalf("MuonTrap failed to stop Spectre: %v", res)
 		}
@@ -46,7 +58,7 @@ func TestAttack1AlsoDefeatedByFcacheAlone(t *testing.T) {
 	// The basic data filter cache already defends the original Spectre
 	// (§6.5): speculative fills never reach shared caches and are flushed
 	// on the context switch.
-	res := SpectrePrimeProbe(fcacheOnly, 9)
+	res := RunSecret(mustScenario("spectre"), defense.Scheme{Mode: fcacheOnly}, 9)
 	if res.Succeeded {
 		t.Fatalf("filter cache alone should stop attack 1: %v", res)
 	}
@@ -54,7 +66,7 @@ func TestAttack1AlsoDefeatedByFcacheAlone(t *testing.T) {
 
 func TestAttack2InclusionLeaksInsecure(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := InclusionPolicy(insecure, bit)
+		res := RunSecret(mustScenario("inclusion"), defense.Scheme{Mode: insecure}, bit)
 		if !res.Succeeded {
 			t.Fatalf("inclusion attack should leak on insecure baseline: %v", res)
 		}
@@ -63,7 +75,7 @@ func TestAttack2InclusionLeaksInsecure(t *testing.T) {
 
 func TestAttack2DefeatedByMuonTrap(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := InclusionPolicy(full, bit)
+		res := RunSecret(mustScenario("inclusion"), defense.Scheme{Mode: full}, bit)
 		if res.Succeeded {
 			t.Fatalf("MuonTrap failed to stop the inclusion attack: %v", res)
 		}
@@ -72,7 +84,7 @@ func TestAttack2DefeatedByMuonTrap(t *testing.T) {
 
 func TestAttack3SharedDataLeaksInsecure(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := SharedData(insecure, bit)
+		res := RunSecret(mustScenario("shareddata"), defense.Scheme{Mode: insecure}, bit)
 		if !res.Succeeded {
 			t.Fatalf("shared-data attack should leak on insecure baseline: %v", res)
 		}
@@ -84,7 +96,7 @@ func TestAttack3SharedDataLeaksOnFcacheOnly(t *testing.T) {
 	// the attacker's exclusive line: the filter cache alone is not enough.
 	leaked := 0
 	for _, bit := range []int{0, 1} {
-		if SharedData(fcacheOnly, bit).Succeeded {
+		if RunSecret(mustScenario("shareddata"), defense.Scheme{Mode: fcacheOnly}, bit).Succeeded {
 			leaked++
 		}
 	}
@@ -95,11 +107,11 @@ func TestAttack3SharedDataLeaksOnFcacheOnly(t *testing.T) {
 
 func TestAttack3DefeatedByCoherenceProtection(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := SharedData(withCoherence, bit)
+		res := RunSecret(mustScenario("shareddata"), defense.Scheme{Mode: withCoherence}, bit)
 		if res.Succeeded {
 			t.Fatalf("coherence protections failed to stop attack 3: %v", res)
 		}
-		res = SharedData(full, bit)
+		res = RunSecret(mustScenario("shareddata"), defense.Scheme{Mode: full}, bit)
 		if res.Succeeded {
 			t.Fatalf("full MuonTrap failed to stop attack 3: %v", res)
 		}
@@ -109,7 +121,7 @@ func TestAttack3DefeatedByCoherenceProtection(t *testing.T) {
 func TestAttack4FilterCoherencyLeaksOnNaiveFilter(t *testing.T) {
 	leaked := 0
 	for _, bit := range []int{0, 1} {
-		if FilterCoherency(fcacheOnly, bit).Succeeded {
+		if RunSecret(mustScenario("filtercoherency"), defense.Scheme{Mode: fcacheOnly}, bit).Succeeded {
 			leaked++
 		}
 	}
@@ -120,11 +132,11 @@ func TestAttack4FilterCoherencyLeaksOnNaiveFilter(t *testing.T) {
 
 func TestAttack4DefeatedBySharedOnlyFills(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := FilterCoherency(withCoherence, bit)
+		res := RunSecret(mustScenario("filtercoherency"), defense.Scheme{Mode: withCoherence}, bit)
 		if res.Succeeded {
 			t.Fatalf("S-only filter fills failed to stop attack 4: %v", res)
 		}
-		res = FilterCoherency(full, bit)
+		res = RunSecret(mustScenario("filtercoherency"), defense.Scheme{Mode: full}, bit)
 		if res.Succeeded {
 			t.Fatalf("full MuonTrap failed to stop attack 4: %v", res)
 		}
@@ -134,7 +146,7 @@ func TestAttack4DefeatedBySharedOnlyFills(t *testing.T) {
 func TestAttack5PrefetcherLeaksWithoutCommitTraining(t *testing.T) {
 	leaked := 0
 	for _, secret := range []int{0, 1, 2, 3} {
-		if Prefetcher(insecure, secret).Succeeded {
+		if RunSecret(mustScenario("prefetcher"), defense.Scheme{Mode: insecure}, secret).Succeeded {
 			leaked++
 		}
 	}
@@ -146,7 +158,7 @@ func TestAttack5PrefetcherLeaksWithoutCommitTraining(t *testing.T) {
 	// stage exists precisely for this.
 	leaked = 0
 	for _, secret := range []int{0, 1, 2, 3} {
-		if Prefetcher(withCoherence, secret).Succeeded {
+		if RunSecret(mustScenario("prefetcher"), defense.Scheme{Mode: withCoherence}, secret).Succeeded {
 			leaked++
 		}
 	}
@@ -157,7 +169,7 @@ func TestAttack5PrefetcherLeaksWithoutCommitTraining(t *testing.T) {
 
 func TestAttack5DefeatedByCommitPrefetch(t *testing.T) {
 	for _, secret := range []int{0, 1, 2, 3} {
-		res := Prefetcher(full, secret)
+		res := RunSecret(mustScenario("prefetcher"), defense.Scheme{Mode: full}, secret)
 		if res.Succeeded {
 			t.Fatalf("commit-time prefetching failed to stop attack 5: %v", res)
 		}
@@ -167,7 +179,7 @@ func TestAttack5DefeatedByCommitPrefetch(t *testing.T) {
 func TestAttack6ICacheLeaksInsecure(t *testing.T) {
 	leaked := 0
 	for _, secret := range []int{0, 1, 2, 3} {
-		if InstructionCache(insecure, secret).Succeeded {
+		if RunSecret(mustScenario("icache"), defense.Scheme{Mode: insecure}, secret).Succeeded {
 			leaked++
 		}
 	}
@@ -178,7 +190,7 @@ func TestAttack6ICacheLeaksInsecure(t *testing.T) {
 
 func TestAttack6DefeatedByInstructionFilter(t *testing.T) {
 	for _, secret := range []int{0, 1, 2, 3} {
-		res := InstructionCache(full, secret)
+		res := RunSecret(mustScenario("icache"), defense.Scheme{Mode: full}, secret)
 		if res.Succeeded {
 			t.Fatalf("instruction filter cache failed to stop attack 6: %v", res)
 		}

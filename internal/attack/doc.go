@@ -18,10 +18,8 @@
 //     security-matrix cell. Scenarios() enumerates the corpus.
 //   - Result: one trial's outcome — the probe timings, the recovered
 //     value and whether it matches the planted secret.
-//   - The legacy attack functions (SpectrePrimeProbe, InclusionPolicy,
-//     SharedData, FilterCoherency, Prefetcher, InstructionCache), kept as
-//     named entry points over the interpreter, each parameterised by the
-//     memsys.Mode under test.
+//   - Run and RunSecret: the one entry point for every scenario, the
+//     paper's six attacks included, under any defense.Scheme.
 //
 // Invariants:
 //

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // AgentConfig wires one worker daemon into a fleet.
@@ -135,7 +137,7 @@ func (a *Agent) register() error {
 		return fmt.Errorf("fleet: registering with %s: %w", a.cfg.Coordinator, err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, jobs.MaxBodyBytes))
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fleet: registering with %s: %s: %s", a.cfg.Coordinator, resp.Status, bytes.TrimSpace(body))
 	}
@@ -157,7 +159,7 @@ func (a *Agent) heartbeat() (bool, error) {
 		return false, err
 	}
 	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, jobs.MaxBodyBytes))
 	switch {
 	case resp.StatusCode == http.StatusNotFound:
 		return false, nil

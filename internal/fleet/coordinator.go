@@ -3,22 +3,17 @@ package fleet
 import (
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/figures"
+	"repro/internal/jobs"
 	"repro/internal/telemetry"
 	"repro/muontrap"
 	"repro/muontrap/client"
@@ -37,8 +32,8 @@ type Config struct {
 	// checkpoint migration — workers have nowhere shared to mirror to).
 	Dir string
 	// Scale, MaxCycles, Warmup, CheckpointEvery mirror the corresponding
-	// worker daemon flags (0 = library default). They enter every cell's
-	// cache key exactly as internal/service computes it.
+	// worker daemon flags (0 = library default). They enter every cache
+	// key through the same jobs.Identity a worker daemon keys by.
 	Scale           float64
 	MaxCycles       int
 	Warmup          int
@@ -133,32 +128,28 @@ type cell struct {
 	attempts map[*attempt]struct{} // open attempts
 }
 
-// fleetJob is one submitted sweep and its shard map.
+// fleetJob is one submitted sweep and its shard map, around its
+// front-end record.
 type fleetJob struct {
-	rec      muontrap.Job
-	cells    []*cell
-	results  []*muontrap.RunResult // per declaration index
-	incompat string                // journal replayed under mismatched flags; never scheduled
-
-	// SSE state: frames holds every published progress frame (bounded by
-	// Total, which is small); subs are poke channels of live streams.
-	frames []streamFrame
-	subs   map[chan struct{}]struct{}
+	*jobs.Job
+	cells   []*cell
+	results []*muontrap.RunResult // per declaration index
+	// active marks a job whose cells may dispatch: queued or running,
+	// journaled under this coordinator's identity, and not yet decided.
+	// Guarded by Coordinator.mu; it turns false the moment an outcome is
+	// decided, before the front-end makes that outcome durable.
+	active bool
 }
 
-type streamFrame struct {
-	id   uint64
-	name string
-	data []byte
-}
-
-// Coordinator shards sweeps across registered workers. It implements
-// http.Handler: the public /v1/jobs surface (wire-compatible with a
-// single muontrapd, so muontrap/client drives both identically) plus the
-// /fleet/v1/* control plane (register, heartbeat, workers, and the
-// shared checkpoint content store).
+// Coordinator shards sweeps across registered workers: the jobs
+// front-end's fleet backend. It implements http.Handler: the /v1/jobs
+// surface (the daemon's own code, so muontrap/client drives both
+// identically) plus the /fleet/v1/* control plane (register, heartbeat,
+// workers, and the shared checkpoint content store).
 type Coordinator struct {
 	cfg   Config
+	id    jobs.Identity
+	front *jobs.Front
 	mux   *http.ServeMux
 	store *checkpoint.Store // shared checkpoint store (nil when Dir == "")
 	met   *fleetMetrics     // nil = metrics off
@@ -171,8 +162,7 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers map[string]*worker
-	jobs    map[string]*fleetJob
-	order   []string
+	jobs    []*fleetJob // submission order
 	stats   Stats
 }
 
@@ -207,8 +197,12 @@ func New(cfg Config) (*Coordinator, error) {
 		stop:    stop,
 		wake:    make(chan struct{}, 1),
 		workers: make(map[string]*worker),
-		jobs:    make(map[string]*fleetJob),
+		id: jobs.Identity{
+			Scale: cfg.Scale, MaxCycles: cfg.MaxCycles,
+			Warmup: cfg.Warmup, CheckpointEvery: cfg.CheckpointEvery,
+		},
 	}
+	co.front = jobs.New(jobs.Config{Dir: cfg.Dir, Name: "fleet", Identity: co.id, Backend: co})
 	if cfg.Metrics != nil {
 		co.met = newFleetMetrics(cfg.Metrics, co)
 	}
@@ -221,7 +215,7 @@ func New(cfg Config) (*Coordinator, error) {
 		co.store = st
 	}
 	co.routes()
-	if err := co.loadJournal(); err != nil {
+	if err := co.front.Load(); err != nil {
 		stop()
 		return nil, err
 	}
@@ -272,7 +266,7 @@ func (co *Coordinator) Stats() Stats {
 	st.Jobs = len(co.jobs)
 	for _, j := range co.jobs {
 		for _, c := range j.cells {
-			if !c.done && !j.rec.State.Terminal() {
+			if !c.done && j.active {
 				st.CellsPending++
 			}
 		}
@@ -360,29 +354,23 @@ func (co *Coordinator) closeAttemptLocked(a *attempt) {
 // the dispatch pool, flagged to resume from its latest mirrored
 // checkpoint. Callers hold co.mu.
 func (co *Coordinator) requeueCellLocked(c *cell) {
-	if c.done || len(c.attempts) > 0 || c.job.rec.State.Terminal() {
+	if c.done || len(c.attempts) > 0 || !c.job.active {
 		return
 	}
 	c.resume = true
 	co.stats.Migrations++
 	co.span(telemetry.Span{
-		Event: "requeue", Job: c.job.rec.ID, Cell: cellLabel(c),
+		Event: "requeue", Job: c.job.Rec.ID, Cell: cellLabel(c),
 		Detail: "re-queued resumable after worker failure",
 	})
-}
-
-// schedulable reports whether a job's cells may be dispatched.
-func (j *fleetJob) schedulable() bool {
-	return !j.rec.State.Terminal() && j.incompat == ""
 }
 
 // dispatchLocked hands every pending cell to the least-loaded alive
 // worker with capacity, interactive jobs first. Callers hold co.mu.
 func (co *Coordinator) dispatchLocked(now time.Time) {
 	for _, class := range []muontrap.Priority{muontrap.PriorityInteractive, muontrap.PriorityBulk} {
-		for _, id := range co.order {
-			j := co.jobs[id]
-			if !j.schedulable() || j.rec.Priority != class {
+		for _, j := range co.jobs {
+			if !j.active || j.Rec.Priority != class {
 				continue
 			}
 			for _, c := range j.cells {
@@ -407,9 +395,8 @@ func (co *Coordinator) stealLocked(now time.Time) {
 	if co.cfg.StealAfter <= 0 {
 		return
 	}
-	for _, id := range co.order {
-		j := co.jobs[id]
-		if !j.schedulable() {
+	for _, j := range co.jobs {
+		if !j.active {
 			continue
 		}
 		for _, c := range j.cells {
@@ -429,7 +416,7 @@ func (co *Coordinator) stealLocked(now time.Time) {
 			}
 			co.stats.Steals++
 			co.span(telemetry.Span{
-				Event: "steal", Job: j.rec.ID, Cell: cellLabel(c), Worker: w.id,
+				Event: "steal", Job: j.Rec.ID, Cell: cellLabel(c), Worker: w.id,
 				Seconds: now.Sub(cur.started).Seconds(),
 				Detail:  "straggling on " + cur.w.id,
 			})
@@ -470,12 +457,14 @@ func (co *Coordinator) startAttemptLocked(c *cell, w *worker, now time.Time) {
 		detail = "resume"
 	}
 	co.span(telemetry.Span{
-		Event: "dispatch", Job: c.job.rec.ID, Cell: cellLabel(c),
+		Event: "dispatch", Job: c.job.Rec.ID, Cell: cellLabel(c),
 		Worker: w.id, Detail: detail,
 	})
-	if c.job.rec.State == muontrap.JobQueued {
-		c.job.rec.State = muontrap.JobRunning
+	c.job.Lock()
+	if c.job.Rec.State == muontrap.JobQueued {
+		c.job.Rec.State = muontrap.JobRunning
 	}
+	c.job.Unlock()
 	co.wg.Add(1)
 	go co.runAttempt(a)
 }
@@ -490,7 +479,7 @@ func (co *Coordinator) runAttempt(a *attempt) {
 	if a.resume {
 		opts = append(opts, client.WithResume())
 	}
-	if a.c.job.rec.Priority == muontrap.PriorityInteractive {
+	if a.c.job.Rec.Priority == muontrap.PriorityInteractive {
 		opts = append(opts, client.WithPriority(muontrap.PriorityInteractive))
 	}
 	job, err := a.w.client.Submit(a.ctx, a.c.sweep, opts...)
@@ -566,14 +555,14 @@ func (co *Coordinator) attemptDone(a *attempt, res *muontrap.SweepResult) {
 		a.w.fails = 0
 		co.met.observeAttempt(a.started, true)
 	}
-	if c.done || c.job.rec.State.Terminal() {
+	if c.done || !c.job.active {
 		// First writer already won this cell's merge (the check runs even
 		// for attempts the winner closed moments ago — a straggler's
 		// completion can race the winner's sibling-cancel): the duplicate
 		// is counted and discarded, never merged twice.
 		co.stats.Duplicates++
 		co.span(telemetry.Span{
-			Event: "duplicate", Job: c.job.rec.ID, Cell: cellLabel(c), Worker: a.w.id,
+			Event: "duplicate", Job: c.job.Rec.ID, Cell: cellLabel(c), Worker: a.w.id,
 			Detail: "completion discarded; first writer already merged",
 		})
 		co.mu.Unlock()
@@ -591,57 +580,55 @@ func (co *Coordinator) attemptDone(a *attempt, res *muontrap.SweepResult) {
 		return
 	}
 	co.span(telemetry.Span{
-		Event: "merge", Job: c.job.rec.ID, Cell: cellLabel(c), Worker: a.w.id,
+		Event: "merge", Job: c.job.Rec.ID, Cell: cellLabel(c), Worker: a.w.id,
 		Seconds: time.Since(a.started).Seconds(),
 	})
-	co.mergeCellLocked(c, res.Runs[0])
+	j := c.job
+	var final *muontrap.SweepResult
+	if co.mergeCellLocked(c, res.Runs[0]) {
+		// The last cell landed: the job's outcome is decided here, and
+		// made durable before anyone can observe it.
+		j.active = false
+		final = j.assembleLocked()
+		co.span(telemetry.Span{Event: "done", Job: j.Rec.ID})
+	}
 	// A slower sibling attempt (straggler being stolen from) is now moot:
 	// stop polling it and best-effort cancel the remote job.
 	for sib := range c.attempts {
 		co.closeAttemptLocked(sib)
 		co.cancelRemote(sib)
 	}
-	j := c.job
 	co.mu.Unlock()
-	co.persist(j)
+	if final != nil {
+		co.front.Finish(j, muontrap.JobDone, "", final)
+	} else {
+		co.front.Persist(j)
+	}
 	co.kick()
 }
 
 // mergeCellLocked records a cell's first completion: its run fills every
-// declaration index the cell covers, a progress frame is published per
-// index, and a job whose last cell just landed is finalized. Callers
+// declaration index the cell covers and a progress frame is published
+// per index. It reports whether that was the job's last cell. Callers
 // hold co.mu.
-func (co *Coordinator) mergeCellLocked(c *cell, run muontrap.RunResult) {
+func (co *Coordinator) mergeCellLocked(c *cell, run muontrap.RunResult) bool {
 	c.done = true
 	j := c.job
+	done := 0
+	for _, r := range j.results {
+		if r != nil {
+			done++
+		}
+	}
 	for _, idx := range c.indexes {
 		r := run
 		j.results[idx] = &r
-	}
-	j.rec.Done = 0
-	for _, r := range j.results {
-		if r != nil {
-			j.rec.Done++
-		}
-	}
-	for range c.indexes {
+		done++
 		// Frame ids are sequential in completion order — cells land in
-		// whatever order machines finish them — and the retained window is
-		// the whole job (bounded by Total, which is small), so any
-		// Last-Event-ID cursor replays exactly the missed tail.
-		id := uint64(len(j.frames)) + 1
-		data, err := json.Marshal(muontrap.Progress{Done: int(id), Total: j.rec.Total, Run: run})
-		if err == nil {
-			j.frames = append(j.frames, streamFrame{id: id, name: "progress", data: data})
-		}
+		// whatever order machines finish them.
+		j.PublishProgress(muontrap.Progress{Done: done, Total: len(j.results), Run: run})
 	}
-	if j.rec.Done == j.rec.Total {
-		j.rec.State = muontrap.JobDone
-		j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
-		co.storeResult(j.rec.CacheKey, j.assembleLocked())
-		co.span(telemetry.Span{Event: "done", Job: j.rec.ID})
-	}
-	j.pokeLocked()
+	return done == len(j.results)
 }
 
 // assembleLocked builds the declaration-ordered SweepResult from the
@@ -655,16 +642,6 @@ func (j *fleetJob) assembleLocked() *muontrap.SweepResult {
 		}
 	}
 	return out
-}
-
-// pokeLocked wakes every stream subscriber. Callers hold co.mu.
-func (j *fleetJob) pokeLocked() {
-	for ch := range j.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // attemptJobFailed fails the whole fleet job: a worker ran the cell and
@@ -683,26 +660,29 @@ func (co *Coordinator) attemptJobFailed(a *attempt, msg string) {
 	co.failJob(j, msg)
 }
 
-// failJob transitions a job to failed and settles its open attempts.
+// failJob decides a job failed and settles its open attempts.
 func (co *Coordinator) failJob(j *fleetJob, msg string) {
 	co.mu.Lock()
-	if j.rec.State.Terminal() {
+	if !j.active {
 		co.mu.Unlock()
 		return
 	}
-	j.rec.State = muontrap.JobFailed
-	j.rec.Error = msg
-	j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
+	j.active = false
+	co.settleLocked(j)
+	co.span(telemetry.Span{Event: "failed", Job: j.Rec.ID, Detail: msg})
+	co.mu.Unlock()
+	co.front.Finish(j, muontrap.JobFailed, msg, nil)
+}
+
+// settleLocked closes every open attempt of j and cancels its remote
+// job. Callers hold co.mu.
+func (co *Coordinator) settleLocked(j *fleetJob) {
 	for _, c := range j.cells {
 		for a := range c.attempts {
 			co.closeAttemptLocked(a)
 			co.cancelRemote(a)
 		}
 	}
-	j.pokeLocked()
-	co.span(telemetry.Span{Event: "failed", Job: j.rec.ID, Detail: msg})
-	co.mu.Unlock()
-	co.persist(j)
 }
 
 // cancelRemote best-effort cancels an attempt's worker-side job so a
@@ -723,199 +703,128 @@ func (co *Coordinator) cancelRemote(a *attempt) {
 	}()
 }
 
-// ---- submission and the public job API ------------------------------
+// ---- the jobs.Backend half --------------------------------------------
 
-// submit validates a sweep, shards it into cells, and registers the job.
-// resume pre-flags every cell to dispatch with checkpoint-resume.
-func (co *Coordinator) submit(sw muontrap.Sweep, prio muontrap.Priority, resume bool) (muontrap.Job, bool, error) {
-	if err := validateSweep(sw); err != nil {
-		return muontrap.Job{}, false, err
-	}
-	prio, err := muontrap.ParsePriority(string(prio))
-	if err != nil {
-		return muontrap.Job{}, false, err
-	}
-	key := co.sweepKey(sw)
-	total := len(sw.Workloads)*len(sw.Schemes)*len(co.effectiveScales(sw)) +
-		len(sw.Attacks)*len(sw.Schemes)
-	rec := muontrap.Job{
-		ID:          newJobID(),
-		State:       muontrap.JobQueued,
-		Sweep:       sw,
-		CacheKey:    key,
-		Priority:    prio,
-		Total:       total,
-		SubmittedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-	j := co.newJob(rec)
-
-	if res, ok := co.loadResult(key); ok && len(res.Runs) == total {
-		// Born done from the coordinator's content-keyed result store.
-		j.rec.State = muontrap.JobDone
-		j.rec.Done = total
-		j.rec.FinishedAt = j.rec.SubmittedAt
-		for i := range res.Runs {
-			r := res.Runs[i]
-			j.results[i] = &r
-		}
-		for _, c := range j.cells {
-			c.done = true
-		}
-		co.mu.Lock()
-		co.registerLocked(j)
-		co.mu.Unlock()
-		co.persist(j)
-		return j.rec, true, nil
-	}
-	if resume {
-		for _, c := range j.cells {
-			c.resume = true
-		}
+// Submit implements jobs.Backend: it shards a new job into cells and,
+// unless it was born done from the result store, queues them for
+// dispatch. resume pre-flags every cell to dispatch with
+// checkpoint-resume.
+func (co *Coordinator) Submit(_ *http.Request, base *jobs.Job, resume bool) (jobs.Handle, error) {
+	j := co.newJob(base)
+	queued := base.Rec.State == muontrap.JobQueued
+	for _, c := range j.cells {
+		c.resume = resume
 	}
 	co.mu.Lock()
-	co.registerLocked(j)
-	rec = j.rec
+	j.active = queued
+	co.jobs = append(co.jobs, j)
+	co.front.Add(j)
 	co.mu.Unlock()
-	co.span(telemetry.Span{Event: "submit", Job: rec.ID, Detail: string(prio)})
-	co.span(telemetry.Span{Event: "queue", Job: rec.ID})
-	co.persist(j)
-	co.kick()
-	return rec, false, nil
+	if queued {
+		co.span(telemetry.Span{Event: "submit", Job: base.Rec.ID, Detail: string(base.Rec.Priority)})
+		co.span(telemetry.Span{Event: "queue", Job: base.Rec.ID})
+		co.kick()
+	}
+	return j, nil
 }
 
 // newJob shards a validated sweep into cells, deduplicating repeated
 // declarations by cache key (they share one dispatch and one merge).
-func (co *Coordinator) newJob(rec muontrap.Job) *fleetJob {
-	j := &fleetJob{
-		rec:     rec,
-		results: make([]*muontrap.RunResult, rec.Total),
-		subs:    make(map[chan struct{}]struct{}),
-	}
+// Cells follow Runner.Sweep's declaration order: the workload block
+// (workloads × schemes × scales), then the attack block (attacks ×
+// schemes, no scale dimension: attack outcomes are scale-independent).
+func (co *Coordinator) newJob(base *jobs.Job) *fleetJob {
+	sw := base.Rec.Sweep
+	j := &fleetJob{Job: base, results: make([]*muontrap.RunResult, base.Rec.Total)}
 	byKey := make(map[string]*cell)
-	scales := co.effectiveScales(rec.Sweep)
-	declared := len(rec.Sweep.Scales) > 0
 	idx := 0
-	for _, w := range rec.Sweep.Workloads {
-		for _, s := range rec.Sweep.Schemes {
-			for _, scale := range scales {
-				sub := muontrap.Sweep{
-					Workloads: []muontrap.Workload{w},
-					Schemes:   []muontrap.Scheme{s},
-					MaxCycles: rec.Sweep.MaxCycles,
-				}
-				if declared {
+	add := func(sub muontrap.Sweep) {
+		sub.MaxCycles = sw.MaxCycles
+		key := co.id.Key(sub)
+		c := byKey[key]
+		if c == nil {
+			c = &cell{job: j, key: key, sweep: sub, attempts: make(map[*attempt]struct{})}
+			byKey[key] = c
+			j.cells = append(j.cells, c)
+		}
+		c.indexes = append(c.indexes, idx)
+		idx++
+	}
+	for _, w := range sw.Workloads {
+		for _, s := range sw.Schemes {
+			for _, scale := range co.id.Scales(sw) {
+				sub := muontrap.Sweep{Workloads: []muontrap.Workload{w}, Schemes: []muontrap.Scheme{s}}
+				if len(sw.Scales) > 0 {
 					sub.Scales = []float64{scale}
 				}
-				key := co.sweepKey(sub)
-				c := byKey[key]
-				if c == nil {
-					c = &cell{job: j, key: key, sweep: sub, attempts: make(map[*attempt]struct{})}
-					byKey[key] = c
-					j.cells = append(j.cells, c)
-				}
-				c.indexes = append(c.indexes, idx)
-				idx++
+				add(sub)
 			}
 		}
 	}
-	// Attack cells follow the workload block, mirroring Runner.Sweep's
-	// declaration order: attacks outer, schemes inner, no scale dimension
-	// (attack outcomes are scale-independent).
-	for _, a := range rec.Sweep.Attacks {
-		for _, s := range rec.Sweep.Schemes {
-			sub := muontrap.Sweep{
-				Attacks:   []muontrap.AttackName{a},
-				Schemes:   []muontrap.Scheme{s},
-				MaxCycles: rec.Sweep.MaxCycles,
-			}
-			key := co.sweepKey(sub)
-			c := byKey[key]
-			if c == nil {
-				c = &cell{job: j, key: key, sweep: sub, attempts: make(map[*attempt]struct{})}
-				byKey[key] = c
-				j.cells = append(j.cells, c)
-			}
-			c.indexes = append(c.indexes, idx)
-			idx++
+	for _, a := range sw.Attacks {
+		for _, s := range sw.Schemes {
+			add(muontrap.Sweep{Attacks: []muontrap.AttackName{a}, Schemes: []muontrap.Scheme{s}})
 		}
 	}
 	return j
 }
 
-// registerLocked adds a job to the table in submission order. Callers
-// hold co.mu.
-func (co *Coordinator) registerLocked(j *fleetJob) {
-	co.jobs[j.rec.ID] = j
-	co.order = append(co.order, j.rec.ID)
-}
-
-// cancelJob aborts a queued or running fleet job: open attempts are
-// settled and their remote jobs cancelled.
-func (co *Coordinator) cancelJob(id string) (muontrap.Job, error) {
+// Cancel implements jobs.Backend: it aborts a queued or running fleet
+// job, settling its open attempts and cancelling their remote jobs.
+func (co *Coordinator) Cancel(_ *http.Request, h jobs.Handle) (muontrap.Job, error) {
+	j := h.(*fleetJob)
 	co.mu.Lock()
-	j, ok := co.jobs[id]
-	if !ok {
+	if j.active {
+		j.active = false
+		co.settleLocked(j)
 		co.mu.Unlock()
-		return muontrap.Job{}, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
+		return co.front.Finish(j, muontrap.JobCancelled, "", nil), nil
 	}
-	switch j.rec.State {
-	case muontrap.JobQueued, muontrap.JobRunning:
-		j.rec.State = muontrap.JobCancelled
-		j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
-		for _, c := range j.cells {
-			for a := range c.attempts {
-				co.closeAttemptLocked(a)
-				co.cancelRemote(a)
-			}
-		}
-		j.pokeLocked()
-	case muontrap.JobCancelled: // idempotent
-	default:
-		state := j.rec.State
-		co.mu.Unlock()
-		return muontrap.Job{}, &conflictError{fmt.Sprintf("job %s is %s and cannot be cancelled", id, state)}
-	}
-	rec := j.rec
 	co.mu.Unlock()
-	co.persist(j)
-	return rec, nil
+	rec := j.Snapshot()
+	if rec.State == muontrap.JobCancelled {
+		return rec, nil // idempotent
+	}
+	return muontrap.Job{}, jobs.Conflict("job %s is %s and cannot be cancelled", rec.ID, rec.State)
 }
 
-// resumeJob re-enters a cancelled/failed/interrupted job's unfinished
-// cells into the dispatch pool with checkpoint-resume.
-func (co *Coordinator) resumeJob(id string) (muontrap.Job, error) {
+// Resume implements jobs.Backend: it re-enters a cancelled, failed or
+// interrupted job's unfinished cells into the dispatch pool with
+// checkpoint-resume.
+func (co *Coordinator) Resume(_ *http.Request, h jobs.Handle) (muontrap.Job, error) {
+	j := h.(*fleetJob)
 	co.mu.Lock()
-	j, ok := co.jobs[id]
-	if !ok {
+	j.Lock()
+	if err := j.CheckResumableLocked(); err != nil {
+		j.Unlock()
 		co.mu.Unlock()
-		return muontrap.Job{}, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
+		return muontrap.Job{}, err
 	}
-	switch j.rec.State {
-	case muontrap.JobCancelled, muontrap.JobFailed, muontrap.JobInterrupted:
-	default:
-		state := j.rec.State
-		co.mu.Unlock()
-		return muontrap.Job{}, &conflictError{fmt.Sprintf(
-			"job %s is %s; only interrupted, cancelled or failed jobs can be resumed", id, state)}
-	}
-	if j.incompat != "" {
-		msg := j.incompat
-		co.mu.Unlock()
-		return muontrap.Job{}, &conflictError{msg}
-	}
-	j.rec.State = muontrap.JobQueued
-	j.rec.Error = ""
-	j.rec.FinishedAt = ""
+	j.Rec.State = muontrap.JobQueued
+	j.Rec.Error = ""
+	j.Rec.FinishedAt = ""
+	rec := j.Rec
+	j.Unlock()
+	j.active = true
 	for _, c := range j.cells {
 		if !c.done {
 			c.resume = true
 		}
 	}
-	rec := j.rec
 	co.mu.Unlock()
-	co.persist(j)
+	co.front.Persist(j)
 	co.kick()
 	return rec, nil
+}
+
+// Health implements jobs.Backend.
+func (co *Coordinator) Health() any { return healthResponse{Status: "ok", Stats: co.Stats()} }
+
+// healthResponse is the /v1/healthz payload: liveness plus the fleet's
+// counters, embedded flat.
+type healthResponse struct {
+	Status string `json:"status"`
+	Stats
 }
 
 // ---- worker registry ------------------------------------------------
@@ -973,105 +882,6 @@ func (co *Coordinator) Workers() []WorkerStatus {
 	return out
 }
 
-// ---- keys, validation, ids ------------------------------------------
-
-// validateSweep mirrors the single-daemon submission validation.
-func validateSweep(sw muontrap.Sweep) error {
-	if len(sw.Workloads) == 0 && len(sw.Attacks) == 0 {
-		return fmt.Errorf("sweep declares no workloads or attacks")
-	}
-	if len(sw.Schemes) == 0 {
-		return fmt.Errorf("sweep declares no schemes")
-	}
-	for _, w := range sw.Workloads {
-		if _, err := muontrap.ParseWorkload(string(w)); err != nil {
-			return err
-		}
-	}
-	for _, a := range sw.Attacks {
-		if _, err := muontrap.ParseAttackName(string(a)); err != nil {
-			return err
-		}
-	}
-	for _, sch := range sw.Schemes {
-		if sch == "" {
-			continue
-		}
-		if _, err := muontrap.ParseScheme(string(sch)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// effectiveScales resolves a sweep's scales exactly as a worker daemon
-// at the same Scale flag will.
-func (co *Coordinator) effectiveScales(sw muontrap.Sweep) []float64 {
-	if len(sw.Scales) > 0 {
-		return sw.Scales
-	}
-	scale := co.cfg.Scale
-	if scale <= 0 {
-		scale = figures.DefaultOptions().Scale
-	}
-	return []float64{scale}
-}
-
-// sweepKey is the content key of a sweep's result under this fleet's
-// identity flags — the same canonical string internal/service hashes, so
-// a fleet of identically-configured daemons and the coordinator agree on
-// what "the same experiment" means.
-func (co *Coordinator) sweepKey(sw muontrap.Sweep) string {
-	maxCycles := sw.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = co.cfg.MaxCycles
-	}
-	if maxCycles <= 0 {
-		maxCycles = figures.DefaultOptions().MaxCycles
-	}
-	scales := make([]string, 0, len(sw.Scales))
-	for _, sc := range co.effectiveScales(sw) {
-		scales = append(scales, strconv.FormatFloat(sc, 'g', -1, 64))
-	}
-	wl := make([]string, len(sw.Workloads))
-	for i, w := range sw.Workloads {
-		wl[i] = string(w)
-	}
-	sch := make([]string, len(sw.Schemes))
-	for i, x := range sw.Schemes {
-		if x == "" {
-			x = muontrap.SchemeInsecure
-		}
-		sch[i] = string(x)
-	}
-	atk := make([]string, len(sw.Attacks))
-	for i, a := range sw.Attacks {
-		atk[i] = string(a)
-	}
-	canon := fmt.Sprintf("sweep|v%d|bin=%s|wl=%s|atk=%s|sch=%s|scales=%s|max=%d|warm=%d|every=%d",
-		journalVersion, figures.BinFingerprint(),
-		strings.Join(wl, ","), strings.Join(atk, ","), strings.Join(sch, ","),
-		strings.Join(scales, ","), maxCycles, co.cfg.Warmup, co.cfg.CheckpointEvery)
-	sum := sha256.Sum256([]byte(canon))
-	return hex.EncodeToString(sum[:])
-}
-
-// conflictError marks a request naming a real resource in the wrong
-// state (HTTP 409).
-type conflictError struct{ msg string }
-
-func (e *conflictError) Error() string { return e.msg }
-
-// newJobID returns a fresh random job identifier (same shape as a
-// worker daemon's).
-func newJobID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("job-t%x", time.Now().UnixNano())
-	}
-	return "job-" + hex.EncodeToString(b[:])
-}
-
 // newWorkerID returns a fresh random worker identifier.
 func newWorkerID() string {
 	var b [6]byte
@@ -1079,46 +889,4 @@ func newWorkerID() string {
 		return fmt.Sprintf("w-t%x", time.Now().UnixNano())
 	}
 	return "w-" + hex.EncodeToString(b[:])
-}
-
-// ---- result store ---------------------------------------------------
-
-func (co *Coordinator) resultStorePath(key string) string {
-	return filepath.Join(co.cfg.Dir, "fleet", "sweeps", key+".json")
-}
-
-// storeResult persists a completed sweep under its cache key.
-func (co *Coordinator) storeResult(key string, res *muontrap.SweepResult) {
-	if co.cfg.Dir == "" || res == nil {
-		return
-	}
-	b, err := json.MarshalIndent(res, "", "\t")
-	if err != nil {
-		return
-	}
-	path := co.resultStorePath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: result store unavailable: %v\n", err)
-		return
-	}
-	if err := checkpoint.WriteAtomic(path, b); err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: storing result %s failed: %v\n", key, err)
-	}
-}
-
-// loadResult fetches a stored sweep result by cache key; any failure is
-// a miss.
-func (co *Coordinator) loadResult(key string) (*muontrap.SweepResult, bool) {
-	if co.cfg.Dir == "" || !validCacheKey(key) {
-		return nil, false
-	}
-	b, err := os.ReadFile(co.resultStorePath(key))
-	if err != nil {
-		return nil, false
-	}
-	var res muontrap.SweepResult
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, false
-	}
-	return &res, true
 }

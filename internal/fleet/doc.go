@@ -2,9 +2,11 @@
 // workers and merges the results byte-identically to a single-machine
 // run.
 //
-// The Coordinator serves the same /v1/jobs surface a single daemon does,
-// so muontrap/client drives a fleet and a lone daemon with identical
-// code. Internally it splits a submitted sweep's resolved cell list into
+// The Coordinator is the second backend of the internal/jobs front-end,
+// so it serves the very /v1/jobs surface a single daemon does and
+// muontrap/client drives a fleet and a lone daemon with identical code.
+// On top of it the coordinator serves only its /fleet/v1/* control plane
+// and the shared checkpoint store. Internally it splits a submitted sweep's resolved cell list into
 // single-cell jobs, dispatches them to registered workers (registration
 // and heartbeat over HTTP, see Agent), steals cells from stragglers, and
 // — when a worker dies mid-cell — re-dispatches the interrupted cell to
@@ -22,7 +24,10 @@
 // cell when. The fleet's answer is byte-identical to Runner.Sweep's.
 //
 // The coordinator journals its shard map (cells, their done/pending
-// state, and per-cell results) under its directory, so a restarted
-// coordinator resumes a half-finished sweep without re-running completed
-// cells.
+// state, and per-cell results) with each job record under its
+// directory, so a restarted coordinator resumes a half-finished sweep
+// without re-running completed cells. A terminal state — done, failed,
+// cancelled — is decided under the coordinator's lock (the job stops
+// dispatching at once) and published by the front-end only once it is
+// durable.
 package fleet

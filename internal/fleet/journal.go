@@ -3,224 +3,87 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"time"
 
-	"repro/internal/checkpoint"
+	"repro/internal/jobs"
 	"repro/muontrap"
 )
 
-// journalVersion versions the fleet journal entry layout. It also enters
-// every cache key (matching internal/service's canonical formula), so a
-// layout bump invalidates stored results rather than misreading them.
-const journalVersion = 1
+// The coordinator's journal payload is its shard map: every cell with its
+// done/pending state and merged result, journaled with the job record by
+// the jobs front-end under Dir/fleet/jobs. It is what lets a restarted
+// coordinator resume a sweep without re-running done cells.
 
-// journalEntry is one job's durable shard map: the job record, the
-// identity flags the shards were keyed under, and every cell with its
-// done/pending state and merged result. checkpoint.WriteAtomic keeps
-// the file either the old map or the new one, never a torn mix.
-type journalEntry struct {
-	Version int          `json:"version"`
-	Job     muontrap.Job `json:"job"`
-
-	// Identity flags at journaling time. A coordinator restarted under
-	// different flags would compute different cells for the same sweep,
-	// so a mismatch surfaces the job as non-runnable instead of silently
-	// merging results computed under another identity.
-	CheckpointEvery int     `json:"checkpoint_every"`
-	Warmup          int     `json:"warmup"`
-	Scale           float64 `json:"scale"`
-	MaxCycles       int     `json:"max_cycles"`
-
-	Cells []CellRecord `json:"cells"`
-}
-
-// compatible reports whether the entry was journaled under this
-// coordinator's identity flags; the returned message names the first
-// mismatch.
-func (e *journalEntry) compatible(cfg Config) (bool, string) {
-	type flag struct {
-		name string
-		got  any
-		want any
-	}
-	for _, f := range []flag{
-		{"checkpoint-every", e.CheckpointEvery, cfg.CheckpointEvery},
-		{"warmup", e.Warmup, cfg.Warmup},
-		{"scale", e.Scale, cfg.Scale},
-		{"max-cycles", e.MaxCycles, cfg.MaxCycles},
-	} {
-		if f.got != f.want {
-			return false, fmt.Sprintf(
-				"journaled under -%s=%v but coordinator runs -%s=%v", f.name, f.got, f.name, f.want)
-		}
-	}
-	return true, ""
-}
-
-func (co *Coordinator) jobPath(id string) string {
-	return filepath.Join(co.cfg.Dir, "fleet", "jobs", id+".json")
-}
-
-// persist journals a job's current shard map. Failures are loud on
-// stderr but do not fail the in-memory run: the fleet keeps computing,
-// it just loses restart-resume for this job.
-func (co *Coordinator) persist(j *fleetJob) {
-	if co.cfg.Dir == "" {
-		return
-	}
+// Cells implements jobs.Backend.
+func (co *Coordinator) Cells(h jobs.Handle) any {
+	j := h.(*fleetJob)
 	co.mu.Lock()
-	e := journalEntry{
-		Version: journalVersion, Job: j.rec,
-		CheckpointEvery: co.cfg.CheckpointEvery, Warmup: co.cfg.Warmup,
-		Scale: co.cfg.Scale, MaxCycles: co.cfg.MaxCycles,
-		Cells: make([]CellRecord, 0, len(j.cells)),
-	}
+	defer co.mu.Unlock()
+	cells := make([]CellRecord, 0, len(j.cells))
 	for _, c := range j.cells {
 		rec := CellRecord{Key: c.key, Sweep: c.sweep, Indexes: append([]int(nil), c.indexes...), Done: c.done}
-		if c.done && len(c.indexes) > 0 && j.results[c.indexes[0]] != nil {
+		if c.done && j.results[c.indexes[0]] != nil {
 			r := *j.results[c.indexes[0]]
 			rec.Result = &r
 		}
-		e.Cells = append(e.Cells, rec)
+		cells = append(cells, rec)
 	}
-	co.mu.Unlock()
-	b, err := json.MarshalIndent(&e, "", "\t")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: journaling job %s failed: %v\n", e.Job.ID, err)
-		return
-	}
-	path := co.jobPath(e.Job.ID)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: journal dir unavailable: %v\n", err)
-		return
-	}
-	if err := checkpoint.WriteAtomic(path, b); err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: journaling job %s failed: %v\n", e.Job.ID, err)
-	}
+	return cells
 }
 
-// loadJournal replays the shard maps a previous coordinator process left
-// behind: done cells keep their merged results, pending cells of
-// unfinished jobs re-enter the dispatch pool with checkpoint-resume
-// enabled (any worker's next attempt continues from the latest mirrored
-// checkpoint), and jobs that were mid-flight when the process died come
-// back as running so dispatch picks them straight up. Unreadable entries
-// are skipped loudly; flag-mismatched entries load as non-runnable.
-func (co *Coordinator) loadJournal() error {
-	if co.cfg.Dir == "" {
-		return nil
+// Replay implements jobs.Backend: it rebuilds one job's shard map. Done
+// cells keep their merged results; pending cells of an unfinished job
+// re-enter the dispatch pool with checkpoint-resume enabled (any worker's
+// next attempt continues from the latest mirrored checkpoint), and a job
+// that was mid-flight when the process died comes back queued so
+// dispatch picks it straight up. A job journaled under other identity
+// flags comes back interrupted and never dispatches.
+func (co *Coordinator) Replay(base *jobs.Job, raw json.RawMessage) (jobs.Handle, error) {
+	var cells []json.RawMessage
+	if err := json.Unmarshal(raw, &cells); err != nil {
+		return nil, fmt.Errorf("fleet: shard map: %w", err)
 	}
-	dir := filepath.Join(co.cfg.Dir, "fleet", "jobs")
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("fleet: reading journal: %w", err)
-	}
-	type loaded struct {
-		at time.Time
-		j  *fleetJob
-	}
-	var all []loaded
-	for _, de := range des {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-			continue
-		}
-		path := filepath.Join(dir, de.Name())
-		b, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: skipping journal entry %s: %v\n", de.Name(), err)
-			continue
-		}
-		var e journalEntry
-		if err := json.Unmarshal(b, &e); err != nil || e.Version != journalVersion || e.Job.ID == "" {
-			fmt.Fprintf(os.Stderr, "fleet: skipping malformed journal entry %s\n", de.Name())
-			continue
-		}
-		j, err := co.replay(&e)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: skipping journal entry %s: %v\n", de.Name(), err)
-			continue
-		}
-		at, _ := time.Parse(time.RFC3339, e.Job.SubmittedAt)
-		all = append(all, loaded{at: at, j: j})
-	}
-	sort.SliceStable(all, func(a, b int) bool { return all[a].at.Before(all[b].at) })
-	co.mu.Lock()
-	for _, l := range all {
-		co.registerLocked(l.j)
-	}
-	co.mu.Unlock()
-	return nil
-}
-
-// replay rebuilds one job's in-memory shard map from its journal entry.
-func (co *Coordinator) replay(e *journalEntry) (*fleetJob, error) {
-	j := &fleetJob{
-		rec:     e.Job,
-		results: make([]*muontrap.RunResult, e.Job.Total),
-		subs:    make(map[chan struct{}]struct{}),
-	}
-	if ok, why := e.compatible(co.cfg); !ok {
-		j.incompat = "journal flag mismatch: " + why
-		if !j.rec.State.Terminal() {
-			j.rec.State = muontrap.JobInterrupted
-		}
-	}
+	rec := &base.Rec
+	j := &fleetJob{Job: base, results: make([]*muontrap.RunResult, rec.Total)}
 	done := 0
-	for i := range e.Cells {
-		rec, err := DecodeCellRecord(mustMarshal(e.Cells[i]))
+	for _, b := range cells {
+		cr, err := DecodeCellRecord(b)
 		if err != nil {
 			return nil, err
 		}
+		// The previous process may have died mid-cell; resume from the
+		// latest mirrored checkpoint rather than restarting cold.
 		c := &cell{
-			job: j, key: rec.Key, sweep: rec.Sweep,
-			indexes: rec.Indexes, done: rec.Done,
-			attempts: make(map[*attempt]struct{}),
+			job: j, key: cr.Key, sweep: cr.Sweep, indexes: cr.Indexes,
+			done: cr.Done, resume: !cr.Done, attempts: make(map[*attempt]struct{}),
 		}
-		for _, idx := range rec.Indexes {
-			if idx >= e.Job.Total {
-				return nil, fmt.Errorf("cell %s index %d out of range (total %d)", rec.Key, idx, e.Job.Total)
+		for _, idx := range cr.Indexes {
+			if idx >= rec.Total {
+				return nil, fmt.Errorf("cell %s index %d out of range (total %d)", cr.Key, idx, rec.Total)
 			}
-			if rec.Done {
-				r := *rec.Result
+			if cr.Done {
+				r := *cr.Result
 				j.results[idx] = &r
 				done++
 			}
 		}
-		if !rec.Done {
-			// The previous process may have died mid-cell; resume from the
-			// latest mirrored checkpoint rather than restarting cold.
-			c.resume = true
-		}
 		j.cells = append(j.cells, c)
 	}
-	j.rec.Done = done
-	if j.incompat == "" && !j.rec.State.Terminal() {
+	switch {
+	case rec.State == muontrap.JobDone:
+	case !rec.State.Terminal() && base.Incompat != "":
+		rec.State = muontrap.JobInterrupted
+	case !rec.State.Terminal() && done == rec.Total && rec.Total > 0:
+		// Every cell finished but the final journal write raced the crash.
+		co.front.Finish(j, muontrap.JobDone, "", j.assembleLocked())
+	case !rec.State.Terminal():
 		// The process died with this job open. Requeue it; dispatch marks
 		// it running again as soon as a cell lands on a worker.
-		j.rec.State = muontrap.JobQueued
-		if done == j.rec.Total && j.rec.Total > 0 {
-			// Every cell finished but the final persist raced the crash.
-			j.rec.State = muontrap.JobDone
-			j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
-			co.storeResult(j.rec.CacheKey, j.assembleLocked())
-		}
+		rec.State = muontrap.JobQueued
+		j.active = true
 	}
+	if rec.State != muontrap.JobDone {
+		rec.Done = done
+	}
+	co.jobs = append(co.jobs, j)
 	return j, nil
-}
-
-// mustMarshal round-trips a CellRecord through its own encoding so
-// replay applies exactly the strict wire validation a fresh decode
-// would. Marshal of these concrete types cannot fail.
-func mustMarshal(v CellRecord) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

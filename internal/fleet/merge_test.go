@@ -38,6 +38,20 @@ func openAttempt(co *Coordinator, c *cell, w *worker) *attempt {
 	return a
 }
 
+// submit queues sw through the front-end and returns its shard map.
+func submit(t *testing.T, co *Coordinator, sw muontrap.Sweep) *fleetJob {
+	t.Helper()
+	rec, cached, err := co.front.Submit(nil, sw, "", false)
+	if err != nil || cached {
+		t.Fatalf("submit: cached=%v err=%v", cached, err)
+	}
+	h, err := co.front.Lookup(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.(*fleetJob)
+}
+
 func run(cycles uint64) *muontrap.SweepResult {
 	return &muontrap.SweepResult{Runs: []muontrap.RunResult{{
 		Workload: "swaptions", Scheme: "muontrap", Scale: 0.02,
@@ -58,14 +72,8 @@ func TestMergeDuplicateCompletionIdempotent(t *testing.T) {
 		Schemes:   []muontrap.Scheme{"muontrap"},
 		Scales:    []float64{0.02},
 	}
-	rec, cached, err := co.submit(sw, "", false)
-	if err != nil || cached {
-		t.Fatalf("submit: cached=%v err=%v", cached, err)
-	}
-	co.mu.Lock()
-	j := co.jobs[rec.ID]
+	j := submit(t, co, sw)
 	c := j.cells[0]
-	co.mu.Unlock()
 
 	w1 := &worker{id: "w1"}
 	w2 := &worker{id: "w2"}
@@ -77,8 +85,8 @@ func TestMergeDuplicateCompletionIdempotent(t *testing.T) {
 
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if j.rec.State != muontrap.JobDone {
-		t.Fatalf("job state %s, want done", j.rec.State)
+	if j.Rec.State != muontrap.JobDone {
+		t.Fatalf("job state %s, want done", j.Rec.State)
 	}
 	if got := j.results[0].Cycles; got != 1111 {
 		t.Fatalf("merged run has %d cycles: the duplicate overwrote the first writer (want 1111)", got)
@@ -107,14 +115,8 @@ func TestMergeDuplicateAfterSiblingCancel(t *testing.T) {
 		Schemes:   []muontrap.Scheme{"stt-spectre"},
 		Scales:    []float64{0.02},
 	}
-	rec, _, err := co.submit(sw, "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co.mu.Lock()
-	j := co.jobs[rec.ID]
+	j := submit(t, co, sw)
 	c := j.cells[0]
-	co.mu.Unlock()
 
 	w1 := &worker{id: "w1"}
 	w2 := &worker{id: "w2"}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/url"
 
+	"repro/internal/jobs"
 	"repro/muontrap"
 )
 
@@ -124,7 +125,7 @@ func DecodeCellRecord(b []byte) (CellRecord, error) {
 	if err := decodeStrict(b, &rec); err != nil {
 		return CellRecord{}, fmt.Errorf("fleet: cell record: %w", err)
 	}
-	if !validCacheKey(rec.Key) {
+	if !jobs.ValidKey(rec.Key) {
 		return CellRecord{}, fmt.Errorf("fleet: cell record: key %q is not a 64-hex cache key", rec.Key)
 	}
 	if len(rec.Indexes) == 0 {
@@ -139,20 +140,4 @@ func DecodeCellRecord(b []byte) (CellRecord, error) {
 		return CellRecord{}, fmt.Errorf("fleet: cell record: done=%v with result present=%v", rec.Done, rec.Result != nil)
 	}
 	return rec, nil
-}
-
-// validCacheKey reports whether key has the canonical cache-key shape:
-// exactly 64 lowercase hex digits (the same validation internal/service
-// applies before building any path from a key).
-func validCacheKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }

@@ -1,11 +1,11 @@
-package service
+package jobs
 
 import "testing"
 
 // White-box coverage for the SSE frame ring: bounded retention,
 // cursor-relative reads, and id continuity across clears.
 func TestEventRingRetentionAndCursor(t *testing.T) {
-	r := newEventRing(4)
+	r := &eventRing{buf: make([]streamEvent, 4)}
 	if got := r.since(0); got != nil {
 		t.Fatalf("empty ring since(0) = %v, want nil", got)
 	}
@@ -47,12 +47,14 @@ func TestEventRingRetentionAndCursor(t *testing.T) {
 	}
 }
 
-// The default capacity must hold the paper's full 33×6 evaluation
-// matrix, so a subscriber to a complete Figure 3–9 sweep never loses a
-// frame to eviction.
+// The smallest ring must hold the paper's full 33×6 evaluation matrix,
+// and a larger job's ring its every frame, so a subscriber to a live
+// sweep never loses a frame to eviction.
 func TestEventRingDefaultCapacityHoldsFullMatrix(t *testing.T) {
-	r := newEventRing(0)
-	if len(r.buf) < 33*6 {
+	if r := newEventRing(0); len(r.buf) < 33*6 {
 		t.Fatalf("default ring capacity %d cannot hold the 33×6 matrix", len(r.buf))
+	}
+	if r := newEventRing(1000); len(r.buf) < 1000 {
+		t.Fatalf("ring capacity %d cannot hold a 1000-cell job", len(r.buf))
 	}
 }

@@ -2,13 +2,14 @@
 // cmd/muontrapd: it turns the muontrap.Runner library into a network
 // service that non-Go clients can drive with plain HTTP.
 //
-// A Server accepts declarative muontrap.Sweep submissions, validates
-// their identifiers up front (400 + sentinel-coded errors, never a
-// queued-then-failed job), and executes them on a bounded pool of
-// Runners — MaxJobs concurrent sweeps, Workers simulations each. Every
-// completed matrix cell streams to subscribers as a Server-Sent Event;
-// DELETE threads context cancellation all the way into the simulator's
-// cycle loop.
+// A Server is one of the two backends of the internal/jobs front-end,
+// which owns the /v1 surface, validation (400 + sentinel-coded errors,
+// never a queued-then-failed job), content keys, the journal, the result
+// store and the SSE stream; the fleet coordinator is the other. The
+// Server executes jobs on a bounded pool of Runners — MaxJobs concurrent
+// sweeps, Workers simulations each. Every completed matrix cell streams
+// to subscribers as a Server-Sent Event; DELETE threads context
+// cancellation all the way into the simulator's cycle loop.
 //
 // The server is hardened for shared, multi-tenant use:
 //
@@ -23,10 +24,10 @@
 //     losslessly — the victim is driven to a checkpointable boundary,
 //     re-queued as resumable, and later continues from its checkpoint to
 //     a byte-identical result. Priority never enters the cache key.
-//   - Scalable SSE fan-out: progress frames live in one bounded ring
-//     per job; subscribers read at their own cursor and are disconnected
-//     (resumably, via Last-Event-ID) if they cannot accept a write
-//     within StreamWriteTimeout, so no consumer pins memory or stalls
+//   - Scalable SSE fan-out (in the front-end): progress frames live in
+//     one bounded ring per job; subscribers read at their own cursor and
+//     are disconnected (resumably, via Last-Event-ID) if they cannot
+//     accept a write within 30 s, so no consumer pins memory or stalls
 //     the pool.
 //   - Bounded drain: Shutdown(ctx) stops intake and waits for running
 //     sweeps; when ctx expires first, still-running jobs are journaled

@@ -2,23 +2,15 @@ package service
 
 import (
 	"context"
-	"crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/figures"
+	"repro/internal/jobs"
 	"repro/internal/telemetry"
 	"repro/muontrap"
 )
@@ -55,15 +47,6 @@ type Config struct {
 	// RetryAfter is the hint returned with shed (429/503) responses.
 	// Zero defaults to one second.
 	RetryAfter time.Duration
-	// StreamHistory bounds the per-job ring of recent SSE progress
-	// frames (0 = 256). Subscribers that fall further behind continue
-	// from the oldest retained frame; a done job's full sequence is
-	// synthesized from its stored result regardless.
-	StreamHistory int
-	// StreamWriteTimeout disconnects an SSE subscriber whose connection
-	// cannot accept a write within this bound (0 = 30s). The client
-	// resumes with Last-Event-ID; dead peers stop pinning goroutines.
-	StreamWriteTimeout time.Duration
 	// Scale and MaxCycles are the defaults applied when a submitted Sweep
 	// leaves Scales / MaxCycles empty, exactly like the corresponding
 	// Runner options (0 = library default).
@@ -98,40 +81,12 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// defaultStreamHistory is the per-job SSE ring capacity when
-// Config.StreamHistory is zero — enough for the paper's full 33×6
-// evaluation matrix to replay without eviction.
-const defaultStreamHistory = 256
-
-// journalVersion versions the job journal entry layout.
-const journalVersion = 1
-
-// jobEntry is the JSON layout of one journaled job: the public record
-// plus every config field that is part of run identity (folded into the
-// job's cache key), so a restarted daemon detects that it is configured
-// incompatibly with the jobs it is about to resume — resuming under
-// changed flags would store a differently-configured result under the
-// journaled cache key, silently poisoning the content-keyed store.
-type jobEntry struct {
-	Version         int          `json:"version"`
-	Job             muontrap.Job `json:"job"`
-	CheckpointEvery int          `json:"checkpoint_every"`
-	Warmup          int          `json:"warmup"`
-	Scale           float64      `json:"scale"`
-	MaxCycles       int          `json:"max_cycles"`
-}
-
-// job is one submitted sweep and its live scheduling state. Lock order:
-// the Server mutex may be held while taking job.mu, never the reverse.
+// job is one submitted sweep's live scheduling state around its
+// front-end record. Lock order: the Server mutex may be held while
+// taking the job's, never the reverse.
 type job struct {
-	mu     sync.Mutex
-	rec    muontrap.Job
+	*jobs.Job
 	resume bool // run with WithResume (set by Resume and by preemption)
-	// incompat, when non-empty, names the identity-flag mismatch between
-	// this journaled job and the daemon's current configuration; resume
-	// is refused (409) so the differently-configured attempt cannot
-	// store its result under the job's old cache key.
-	incompat string
 	// tenant is the submitting tenant's live quota state (nil on an open
 	// daemon, or when a journaled job's tenant is no longer configured).
 	// The pointer and its counters are guarded by Server.mu: a SIGHUP
@@ -146,26 +101,16 @@ type job struct {
 	// to a resumable boundary so an interactive job can take its slot.
 	// The unwound attempt re-queues (resume=true) instead of finishing.
 	preempt bool
-
-	// seq numbers published SSE frames; monotonic across attempts so
-	// Last-Event-ID cursors stay unambiguous. ring retains the most
-	// recent frames; subs are pull-model subscribers (see stream.go).
-	seq  uint64
-	ring *eventRing
-	subs map[*subscriber]struct{}
-
-	result *muontrap.SweepResult
 }
 
-// Server is the experiment service: it accepts declarative sweep
-// submissions over HTTP, schedules them by priority class on a bounded
-// pool of muontrap.Runners with per-tenant admission control, streams
-// per-cell progress over SSE, journals job lifecycle under Config.Dir so
-// a killed daemon's jobs are resumable, and serves completed results by
-// job ID or content cache key. It implements http.Handler.
+// Server is the experiment service: the jobs front-end (HTTP surface,
+// journal, result store, SSE) over a local backend that schedules sweeps
+// by priority class on a bounded pool of muontrap.Runners with
+// per-tenant admission control. It implements http.Handler.
 type Server struct {
-	cfg Config
-	mux *http.ServeMux
+	cfg   Config
+	front *jobs.Front
+	mux   *http.ServeMux
 	// tenants holds the live tenant table (nil = open mode). It is an
 	// atomic pointer because SIGHUP hot-reload swaps it while request
 	// handlers authenticate against it lock-free; the table's quota
@@ -179,18 +124,12 @@ type Server struct {
 	wg   sync.WaitGroup
 
 	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string  // submission order, for deterministic listing
 	pending [2][]*job // FIFO dispatch queues: [0] interactive, [1] bulk
 	running map[*job]struct{}
 	started []*job // running jobs in dispatch order (preemption picks the newest bulk)
 
 	shedQuota    uint64 // submissions shed 429 (per-tenant quota)
 	shedCapacity uint64 // submissions shed 503 (whole-daemon queue bound)
-
-	// beforeDurable, when set (tests only), runs as a finished job starts
-	// its durable writes, before its terminal state is published.
-	beforeDurable func(jobID string)
 }
 
 // New builds a Server and, when cfg.Dir is set, loads the job journal:
@@ -203,9 +142,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	if cfg.StreamWriteTimeout <= 0 {
-		cfg.StreamWriteTimeout = 30 * time.Second
-	}
 	tbl, err := newTenantTable(cfg.Tenants)
 	if err != nil {
 		return nil, err
@@ -216,29 +152,47 @@ func New(cfg Config) (*Server, error) {
 		ctx:     ctx,
 		stop:    stop,
 		trace:   cfg.Tracer,
-		jobs:    make(map[string]*job),
 		running: make(map[*job]struct{}),
 	}
 	s.tenants.Store(tbl)
+	s.front = jobs.New(jobs.Config{
+		Dir:  cfg.Dir,
+		Name: "service",
+		Identity: jobs.Identity{
+			Scale: cfg.Scale, MaxCycles: cfg.MaxCycles,
+			Warmup: cfg.Warmup, CheckpointEvery: cfg.CheckpointEvery,
+		},
+		Backend: s,
+	})
 	if cfg.Metrics != nil {
 		s.met = newServiceMetrics(cfg.Metrics, s)
 	}
-	s.routes()
-	if err := s.loadJournal(); err != nil {
+	s.mux = http.NewServeMux()
+	// Everything except the health probe sits behind tenant auth (a
+	// no-op wrapper on an open daemon).
+	s.front.Routes(s.mux, s.auth)
+	if cfg.Metrics != nil {
+		// Like healthz, the scrape endpoint is an operational probe:
+		// never authenticated, and it names no tenant data beyond the
+		// tenant label on latency series.
+		s.mux.Handle("GET /metrics", cfg.Metrics)
+	}
+	if err := s.front.Load(); err != nil {
 		stop()
 		return nil, err
 	}
 	return s, nil
 }
 
-// newJob allocates the live-state shell around a job record.
-func (s *Server) newJob(rec muontrap.Job) *job {
+// ServeHTTP makes the Server mountable directly into any http.Server.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// newJob wraps a front-end record in its scheduling state.
+func (s *Server) newJob(base *jobs.Job) *job {
 	return &job{
-		rec:    rec,
+		Job:    base,
 		born:   time.Now(),
-		ring:   newEventRing(s.cfg.StreamHistory),
-		subs:   make(map[*subscriber]struct{}),
-		tenant: s.tenants.Load().owner(rec.Tenant),
+		tenant: s.tenants.Load().owner(base.Rec.Tenant),
 	}
 }
 
@@ -274,15 +228,9 @@ func (s *Server) Shutdown(ctx context.Context) []string {
 	s.mu.Unlock()
 	var abandoned []string
 	for _, j := range stuck {
-		j.mu.Lock()
-		terminal := j.rec.State.Terminal()
-		if !terminal {
-			j.rec.State = muontrap.JobInterrupted
-			abandoned = append(abandoned, j.rec.ID)
-		}
-		j.mu.Unlock()
-		if !terminal {
-			s.persist(j)
+		if rec := j.Snapshot(); !rec.State.Terminal() {
+			s.front.Finish(j, muontrap.JobInterrupted, "", nil)
+			abandoned = append(abandoned, rec.ID)
 		}
 	}
 	sort.Strings(abandoned)
@@ -305,10 +253,11 @@ type Stats struct {
 
 // Stats snapshots the scheduler's readiness counters.
 func (s *Server) Stats() Stats {
+	n := s.front.Len()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Jobs:             len(s.jobs),
+		Jobs:             n,
 		QueueDepth:       len(s.pending[0]) + len(s.pending[1]),
 		Running:          len(s.running),
 		MaxJobs:          s.cfg.MaxJobs,
@@ -322,46 +271,28 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
+// healthResponse is the /v1/healthz payload: liveness plus the
+// scheduler's readiness counters (embedded flat).
+type healthResponse struct {
+	Status string `json:"status"`
+	Stats
+}
+
+// Health implements jobs.Backend.
+func (s *Server) Health() any { return healthResponse{Status: "ok", Stats: s.Stats()} }
+
 // InterruptedJobs lists the IDs of jobs loaded from the journal in an
 // interrupted state, in journal order. The daemon's -auto-resume flag
 // feeds these straight back into the queue.
 func (s *Server) InterruptedJobs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var ids []string
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		if j.rec.State == muontrap.JobInterrupted {
-			ids = append(ids, id)
+	for _, h := range s.front.Jobs() {
+		if rec := h.(*job).Snapshot(); rec.State == muontrap.JobInterrupted {
+			ids = append(ids, rec.ID)
 		}
-		j.mu.Unlock()
 	}
 	return ids
 }
-
-// conflictError marks a request that names a real resource in the wrong
-// state (HTTP 409).
-type conflictError struct{ msg string }
-
-func (e *conflictError) Error() string { return e.msg }
-
-// shedError is an admission refusal: the request was not queued, and
-// the client should retry after the hinted delay. Status 429 is a
-// per-tenant quota, 503 the whole-daemon queue bound.
-type shedError struct {
-	status     int
-	retryAfter time.Duration
-	msg        string
-}
-
-func (e *shedError) Error() string { return e.msg }
-
-// forbiddenError marks an authenticated request acting on another
-// tenant's job (HTTP 403).
-type forbiddenError struct{ msg string }
-
-func (e *forbiddenError) Error() string { return e.msg }
 
 // prioIndex maps a priority class to its dispatch queue.
 func prioIndex(p muontrap.Priority) int {
@@ -371,105 +302,58 @@ func prioIndex(p muontrap.Priority) int {
 	return 1
 }
 
-// submit validates a sweep, assigns it a job ID and cache key, and either
-// completes it instantly from the stored result, or admits it against the
-// queue bound and the tenant's quota and schedules it. The bool reports
-// whether the result was served from the content cache. resume starts the
-// first attempt with checkpoint-resume enabled — the fleet coordinator
-// sets it when re-dispatching a cell another machine already checkpointed;
-// with no matching checkpoint it is a silent cold start.
-func (s *Server) submit(sw muontrap.Sweep, prio muontrap.Priority, tn *tenant, resume bool) (muontrap.Job, bool, error) {
-	if err := validateSweep(sw); err != nil {
-		return muontrap.Job{}, false, err
-	}
-	prio, err := muontrap.ParsePriority(string(prio))
-	if err != nil {
-		return muontrap.Job{}, false, err
-	}
-	key := s.cacheKey(sw)
-	total := len(sw.Workloads)*len(sw.Schemes)*len(s.effectiveScales(sw)) +
-		len(sw.Attacks)*len(sw.Schemes)
-	rec := muontrap.Job{
-		ID:          newJobID(),
-		State:       muontrap.JobQueued,
-		Sweep:       sw,
-		CacheKey:    key,
-		Priority:    prio,
-		Total:       total,
-		SubmittedAt: time.Now().UTC().Format(time.RFC3339),
-	}
+// Submit implements jobs.Backend: a born-done job is only registered;
+// any other is admitted against the queue bound and the submitting
+// tenant's quota, and scheduled.
+func (s *Server) Submit(r *http.Request, base *jobs.Job, resume bool) (jobs.Handle, error) {
+	tn := requestTenant(r)
 	if tn != nil {
-		rec.Tenant = tn.Name
+		base.Rec.Tenant = tn.Name
 	}
-	j := s.newJob(rec)
-	j.tenant = tn
-	j.resume = resume
-
-	// A stored result for this exact matrix + options + binary means the
-	// job is already done: content keys make resubmission free, and a
-	// born-done job consumes neither queue depth nor quota.
-	if res, ok := s.loadResult(key); ok {
-		j.rec.State = muontrap.JobDone
-		j.rec.Done = total
-		j.rec.FinishedAt = j.rec.SubmittedAt
-		j.result = res
-		s.mu.Lock()
-		s.registerLocked(j)
-		s.mu.Unlock()
-		s.persist(j)
+	j := &job{Job: base, tenant: tn, resume: resume, born: time.Now()}
+	if base.Rec.State == muontrap.JobDone {
+		// A born-done job consumes neither queue depth nor quota.
+		s.front.Add(j)
 		s.met.jobSubmitted(true)
-		s.met.observeJobSeconds(rec.Tenant, sinceSeconds(j.born))
+		s.met.observeJobSeconds(base.Rec.Tenant, sinceSeconds(j.born))
 		s.span("submit", j, 0, "cache-hit")
 		s.span("done", j, sinceSeconds(j.born), "served from result store")
-		return j.snapshot(), true, nil
+		return j, nil
 	}
-
 	s.mu.Lock()
 	if err := s.admitLocked(tn); err != nil {
 		s.mu.Unlock()
-		return muontrap.Job{}, false, err
+		return nil, err
 	}
 	if tn != nil {
 		tn.queued++
 	}
-	s.registerLocked(j)
-	s.pending[prioIndex(prio)] = append(s.pending[prioIndex(prio)], j)
-	s.span("submit", j, 0, string(prio))
+	s.front.Add(j)
+	class := prioIndex(base.Rec.Priority)
+	s.pending[class] = append(s.pending[class], j)
+	s.span("submit", j, 0, string(base.Rec.Priority))
 	s.span("queue", j, 0, "")
 	s.dispatchLocked()
 	s.mu.Unlock()
-	s.persist(j)
 	s.met.jobSubmitted(false)
-	return j.snapshot(), false, nil
+	return j, nil
 }
 
 // admitLocked applies admission control for one enqueue: the global
 // queue bound first (the daemon protecting itself), then the tenant's
 // queued quota (tenants protecting each other).
 func (s *Server) admitLocked(tn *tenant) error {
-	if s.cfg.MaxQueue > 0 && len(s.pending[0])+len(s.pending[1]) >= s.cfg.MaxQueue {
+	if waiting := len(s.pending[0]) + len(s.pending[1]); s.cfg.MaxQueue > 0 && waiting >= s.cfg.MaxQueue {
 		s.shedCapacity++
-		return &shedError{
-			status:     http.StatusServiceUnavailable,
-			retryAfter: s.cfg.RetryAfter,
-			msg:        fmt.Sprintf("submission queue is full (%d waiting, bound %d); retry later", len(s.pending[0])+len(s.pending[1]), s.cfg.MaxQueue),
-		}
+		return jobs.Shed(http.StatusServiceUnavailable, s.cfg.RetryAfter,
+			"submission queue is full (%d waiting, bound %d); retry later", waiting, s.cfg.MaxQueue)
 	}
 	if tn != nil && tn.MaxQueued > 0 && tn.queued >= tn.MaxQueued {
 		s.shedQuota++
-		return &shedError{
-			status:     http.StatusTooManyRequests,
-			retryAfter: s.cfg.RetryAfter,
-			msg:        fmt.Sprintf("tenant %s has %d jobs queued (quota %d); retry later", tn.Name, tn.queued, tn.MaxQueued),
-		}
+		return jobs.Shed(http.StatusTooManyRequests, s.cfg.RetryAfter,
+			"tenant %s has %d jobs queued (quota %d); retry later", tn.Name, tn.queued, tn.MaxQueued)
 	}
 	return nil
-}
-
-// registerLocked adds a job to the in-memory table in submission order.
-func (s *Server) registerLocked(j *job) {
-	s.jobs[j.rec.ID] = j
-	s.order = append(s.order, j.rec.ID)
 }
 
 // tenantCanRunLocked reports whether dispatching j now would respect its
@@ -537,23 +421,23 @@ func (s *Server) preemptLocked() {
 	}
 	// Slots already unwinding toward a free state count against need.
 	for j := range s.running {
-		j.mu.Lock()
+		j.Lock()
 		if j.preempt {
 			need--
 		}
-		j.mu.Unlock()
+		j.Unlock()
 	}
 	for i := len(s.started) - 1; i >= 0 && need > 0; i-- {
 		j := s.started[i]
-		j.mu.Lock()
-		if j.rec.Priority != muontrap.PriorityInteractive && !j.preempt && !j.cancelled && j.cancel != nil {
+		j.Lock()
+		if j.Rec.Priority != muontrap.PriorityInteractive && !j.preempt && !j.cancelled && j.cancel != nil {
 			j.preempt = true
 			j.cancel()
 			need--
 			s.met.jobPreempted()
-			s.spanLocked("preempt", j, 0, "unwinding to checkpoint for interactive work")
+			s.span("preempt", j, 0, "unwinding to checkpoint for interactive work")
 		}
-		j.mu.Unlock()
+		j.Unlock()
 	}
 }
 
@@ -561,7 +445,7 @@ func (s *Server) preemptLocked() {
 // goroutine. Callers hold s.mu.
 func (s *Server) startLocked(j *job) {
 	ctx, cancel := context.WithCancel(s.ctx)
-	j.mu.Lock()
+	j.Lock()
 	j.cancel = cancel
 	if j.cancelled {
 		// A DELETE raced ahead of this attempt getting its cancel func
@@ -571,9 +455,9 @@ func (s *Server) startLocked(j *job) {
 		cancel()
 	}
 	resume := j.resume
-	sw := j.rec.Sweep
-	s.spanLocked("dispatch", j, 0, "")
-	j.mu.Unlock()
+	sw := j.Rec.Sweep
+	s.span("dispatch", j, 0, "")
+	j.Unlock()
 
 	s.wg.Add(1)
 	go func() {
@@ -584,7 +468,7 @@ func (s *Server) startLocked(j *job) {
 			s.releaseSlot(j)
 			return
 		}
-		s.persist(j)
+		s.front.Persist(j)
 		r := muontrap.NewRunner(
 			muontrap.WithWorkers(s.cfg.Workers),
 			muontrap.WithCacheDir(s.cfg.Dir),
@@ -594,7 +478,7 @@ func (s *Server) startLocked(j *job) {
 			muontrap.WithMaxCycles(s.cfg.MaxCycles),
 			muontrap.WithResume(resume),
 			muontrap.WithSnapshotStore(s.cfg.SnapStore),
-			muontrap.WithProgress(j.publishProgress),
+			muontrap.WithProgress(j.PublishProgress),
 		)
 		res, err := r.Sweep(ctx, sw)
 		s.finish(j, res, err)
@@ -604,12 +488,12 @@ func (s *Server) startLocked(j *job) {
 // setRunning transitions queued → running; it refuses (false) if the job
 // reached a terminal state first (e.g. cancelled while queued).
 func (j *job) setRunning() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.rec.State != muontrap.JobQueued {
+	j.Lock()
+	defer j.Unlock()
+	if j.Rec.State != muontrap.JobQueued {
 		return false
 	}
-	j.rec.State = muontrap.JobRunning
+	j.Rec.State = muontrap.JobRunning
 	return true
 }
 
@@ -640,21 +524,20 @@ func (s *Server) releaseSlotLocked(j *job) {
 	}
 }
 
-// finish records a sweep outcome and wakes every stream subscriber with
-// the terminal event — except for a preempted attempt, which is not an
-// outcome at all: the job re-enters the queue as resumable, subscribers
-// stay attached, and the resumed attempt streams its cells under fresh
-// frame ids. The one deliberately un-journaled transition is
-// interruption by server shutdown: that job keeps its journaled
-// queued/running state, exactly as if the process had been SIGKILLed,
-// so the next daemon marks it interrupted and can resume it. Every real
-// outcome — done, failed, or a user cancellation that unwound while the
-// daemon was going down — is journaled as such, so a restart never
-// resurrects work that genuinely ended.
+// finish records a sweep outcome — except for a preempted attempt, which
+// is not an outcome at all: the job re-enters the queue as resumable,
+// subscribers stay attached, and the resumed attempt streams its cells
+// under fresh frame ids. Interruption by server shutdown is published
+// but not journaled: that job keeps its journaled queued/running state,
+// exactly as if the process had been SIGKILLed, so the next daemon marks
+// it interrupted and can resume it. Every real outcome — done, failed,
+// or a user cancellation that unwound while the daemon was going down —
+// goes through the front-end's durable-then-publish Finish, so a restart
+// never resurrects work that genuinely ended.
 func (s *Server) finish(j *job, res *muontrap.SweepResult, err error) {
 	serverDying := s.ctx.Err() != nil
 
-	j.mu.Lock()
+	j.Lock()
 	if err != nil && j.preempt && !j.cancelled && !serverDying {
 		// Preempted for an interactive job. The attempt unwound at its
 		// latest checkpointable boundary; re-queue it resumable, in its
@@ -662,13 +545,13 @@ func (s *Server) finish(j *job, res *muontrap.SweepResult, err error) {
 		j.preempt = false
 		j.resume = true
 		j.cancel = nil
-		j.rec.State = muontrap.JobQueued
-		j.rec.Done = 0
-		j.ring.clear()
-		class := prioIndex(j.rec.Priority)
-		s.spanLocked("requeue", j, 0, "preempted attempt re-queued resumable")
-		j.mu.Unlock()
-		s.persist(j)
+		j.Rec.State = muontrap.JobQueued
+		j.Rec.Done = 0
+		j.ClearFramesLocked()
+		class := prioIndex(j.Rec.Priority)
+		s.span("requeue", j, 0, "preempted attempt re-queued resumable")
+		j.Unlock()
+		s.front.Persist(j)
 		s.mu.Lock()
 		s.releaseSlotLocked(j)
 		if j.tenant != nil {
@@ -679,99 +562,60 @@ func (s *Server) finish(j *job, res *muontrap.SweepResult, err error) {
 		s.mu.Unlock()
 		return
 	}
-
 	j.preempt = false
-	rec := j.rec
+	cancelled := j.cancelled
+	j.Unlock()
+
+	var rec muontrap.Job
 	switch {
 	case err == nil:
-		rec.State = muontrap.JobDone
-		rec.Done = rec.Total
-	case j.cancelled:
-		rec.State = muontrap.JobCancelled
+		rec = s.front.Finish(j, muontrap.JobDone, "", res)
+	case cancelled:
+		rec = s.front.Finish(j, muontrap.JobCancelled, "", nil)
 	case serverDying:
-		rec.State = muontrap.JobInterrupted
+		j.Interrupt()
+		rec = j.Snapshot()
 	default:
-		rec.State = muontrap.JobFailed
-		rec.Error = err.Error()
-	}
-	rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
-	j.mu.Unlock()
-
-	// Durable before observable: store the result, then journal the
-	// terminal record, and only then publish it. A client acting on
-	// "done" (restarting the daemon, resubmitting the sweep) must find
-	// both on disk.
-	if s.beforeDurable != nil {
-		s.beforeDurable(rec.ID)
-	}
-	stored := rec.State == muontrap.JobDone && s.storeResult(rec.CacheKey, res)
-	if rec.State != muontrap.JobInterrupted {
-		s.writeJournal(rec)
-	}
-
-	j.mu.Lock()
-	j.rec.State, j.rec.Done, j.rec.Error, j.rec.FinishedAt = rec.State, rec.Done, rec.Error, rec.FinishedAt
-	if rec.State == muontrap.JobDone && !stored {
-		// A store failure, or an ephemeral cache-less daemon: the memory
-		// copy stays authoritative. Otherwise fetches are served from disk.
-		j.result = res
-	}
-	// The ring keeps its frames: a subscriber mid-replay continues through
-	// the real (completion-ordered) sequence it was reading. Subscribers
-	// arriving after the frames are gone (daemon restart, born-done cache
-	// hits) get a replay synthesized from the result instead.
-	for sub := range j.subs {
-		sub.poke()
+		rec = s.front.Finish(j, muontrap.JobFailed, err.Error(), nil)
 	}
 	elapsed := sinceSeconds(j.born)
-	s.spanLocked(string(rec.State), j, elapsed, rec.Error)
-	j.mu.Unlock()
+	s.span(string(rec.State), j, elapsed, rec.Error)
 	s.met.observeJobSeconds(rec.Tenant, elapsed)
 	s.releaseSlot(j)
 }
 
-// cancelJob aborts a queued or running job. A job still waiting in the
-// dispatch queue — one that never held a runner slot — transitions
-// queued → cancelled synchronously, consuming nothing; a running job's
-// state flips once the simulation has actually unwound (promptly: the
-// cycle loop polls its context every 64 simulated cycles), so the
-// returned snapshot may still say running.
-func (s *Server) cancelJob(id string) (muontrap.Job, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return muontrap.Job{}, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
+// Cancel implements jobs.Backend: it aborts a queued or running job. A
+// job still waiting in the dispatch queue — one that never held a runner
+// slot — transitions queued → cancelled synchronously, consuming
+// nothing; a running job's state flips once the simulation has actually
+// unwound (promptly: the cycle loop polls its context every 64 simulated
+// cycles), so the returned snapshot may still say running.
+func (s *Server) Cancel(r *http.Request, h jobs.Handle) (muontrap.Job, error) {
+	j := h.(*job)
+	if err := s.authorize(r, j); err != nil {
+		return muontrap.Job{}, err
 	}
-	j.mu.Lock()
-	switch j.rec.State {
+	s.mu.Lock()
+	j.Lock()
+	switch j.Rec.State {
 	case muontrap.JobQueued:
 		if s.removePendingLocked(j) {
 			// Never dispatched: cancel is synchronous and slot-free.
 			j.cancelled = true
-			j.rec.State = muontrap.JobCancelled
-			j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
 			if j.tenant != nil {
 				j.tenant.queued--
 			}
-			for sub := range j.subs {
-				sub.poke()
-			}
-			rec := j.rec
-			s.spanLocked("cancelled", j, sinceSeconds(j.born), "cancelled while queued")
-			j.mu.Unlock()
+			j.Unlock()
 			s.dispatchLocked() // a preemption may now be unnecessary; harmless otherwise
 			s.mu.Unlock()
-			s.persist(j)
+			rec := s.front.Finish(j, muontrap.JobCancelled, "", nil)
+			s.span("cancelled", j, sinceSeconds(j.born), "cancelled while queued")
 			s.met.observeJobSeconds(rec.Tenant, sinceSeconds(j.born))
 			return rec, nil
 		}
 		// Dispatched but not yet running: flag + cancel, the attempt
 		// unwinds into cancelled through finish.
-		j.cancelled = true
-		if j.cancel != nil {
-			j.cancel()
-		}
+		fallthrough
 	case muontrap.JobRunning:
 		j.cancelled = true
 		if j.cancel != nil {
@@ -779,13 +623,13 @@ func (s *Server) cancelJob(id string) (muontrap.Job, error) {
 		}
 	case muontrap.JobCancelled: // idempotent
 	default:
-		state := j.rec.State
-		j.mu.Unlock()
+		err := jobs.Conflict("job %s is %s and cannot be cancelled", j.Rec.ID, j.Rec.State)
+		j.Unlock()
 		s.mu.Unlock()
-		return muontrap.Job{}, &conflictError{fmt.Sprintf("job %s is %s and cannot be cancelled", id, state)}
+		return muontrap.Job{}, err
 	}
-	rec := j.rec
-	j.mu.Unlock()
+	rec := j.Rec
+	j.Unlock()
 	s.mu.Unlock()
 	return rec, nil
 }
@@ -804,452 +648,81 @@ func (s *Server) removePendingLocked(j *job) bool {
 	return false
 }
 
+// Resume implements jobs.Backend for POST /v1/jobs/{id}/resume.
+func (s *Server) Resume(r *http.Request, h jobs.Handle) (muontrap.Job, error) {
+	j := h.(*job)
+	if err := s.authorize(r, j); err != nil {
+		return muontrap.Job{}, err
+	}
+	return s.resume(j)
+}
+
 // ResumeJob re-enters a terminal, non-done job into the queue with the
-// checkpoint-resume path enabled, against the same admission control as
-// a fresh submission (the job's own tenant pays the quota). It is the
-// engine behind POST /v1/jobs/{id}/resume (and the daemon's
-// -auto-resume).
+// checkpoint-resume path enabled (the daemon's -auto-resume).
 func (s *Server) ResumeJob(id string) (muontrap.Job, error) {
+	h, err := s.front.Lookup(id)
+	if err != nil {
+		return muontrap.Job{}, err
+	}
+	return s.resume(h.(*job))
+}
+
+// resume re-queues j against the same admission control as a fresh
+// submission (the job's own tenant pays the quota).
+func (s *Server) resume(j *job) (muontrap.Job, error) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return muontrap.Job{}, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
+	j.Lock()
+	err := j.CheckResumableLocked()
+	if err == nil {
+		err = s.admitLocked(j.tenant)
 	}
-	j.mu.Lock()
-	switch j.rec.State {
-	case muontrap.JobInterrupted, muontrap.JobCancelled, muontrap.JobFailed:
-	default:
-		state := j.rec.State
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return muontrap.Job{}, &conflictError{fmt.Sprintf(
-			"job %s is %s; only interrupted, cancelled or failed jobs can be resumed", id, state)}
-	}
-	if j.incompat != "" {
-		msg := j.incompat
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return muontrap.Job{}, &conflictError{msg}
-	}
-	if err := s.admitLocked(j.tenant); err != nil {
-		j.mu.Unlock()
+	if err != nil {
+		j.Unlock()
 		s.mu.Unlock()
 		return muontrap.Job{}, err
 	}
-	j.rec.State = muontrap.JobQueued
-	j.rec.Error = ""
-	j.rec.FinishedAt = ""
-	j.rec.Done = 0
+	j.Rec.State = muontrap.JobQueued
+	j.Rec.Error = ""
+	j.Rec.FinishedAt = ""
+	j.Rec.Done = 0
 	j.resume = true
 	j.cancelled = false
 	j.preempt = false
 	j.cancel = nil
-	j.ring.clear() // the resumed attempt streams its own full sequence
-	rec := j.rec
-	class := prioIndex(j.rec.Priority)
-	s.spanLocked("resume", j, 0, "")
-	s.spanLocked("queue", j, 0, "")
-	j.mu.Unlock()
+	j.ClearFramesLocked() // the resumed attempt streams its own full sequence
+	rec := j.Rec
+	class := prioIndex(j.Rec.Priority)
+	s.span("resume", j, 0, "")
+	s.span("queue", j, 0, "")
+	j.Unlock()
 	if j.tenant != nil {
 		j.tenant.queued++
 	}
 	s.pending[class] = append(s.pending[class], j)
 	s.dispatchLocked()
 	s.mu.Unlock()
-	s.persist(j)
+	s.front.Persist(j)
 	s.met.jobResumed()
 	return rec, nil
 }
 
-// publishProgress mirrors one completed cell to the job record and the
-// frame ring, and pokes every subscriber. Publishing never blocks on a
-// consumer: subscribers pull frames from the ring at their own cursor.
-func (j *job) publishProgress(p muontrap.Progress) {
-	data, err := json.Marshal(p)
-	if err != nil {
-		return
+// Replay implements jobs.Backend. Jobs the dead process left queued or
+// running become interrupted — the crash window restart-resume exists
+// for — and jobs an expired drain timeout journaled as interrupted stay
+// so.
+func (s *Server) Replay(base *jobs.Job, _ json.RawMessage) (jobs.Handle, error) {
+	switch base.Rec.State {
+	case muontrap.JobQueued, muontrap.JobRunning:
+		// The interrupted state is normally derived, never journaled: the
+		// journal keeps saying queued/running (what death left behind),
+		// and every restart re-derives the same picture.
+		base.Rec.State = muontrap.JobInterrupted
+		base.Rec.Done = 0
+	case muontrap.JobInterrupted:
+		base.Rec.Done = 0
 	}
-	j.mu.Lock()
-	j.rec.Done = p.Done
-	j.rec.Total = p.Total
-	j.seq++
-	j.ring.append(streamEvent{id: j.seq, name: "progress", data: data})
-	for sub := range j.subs {
-		sub.poke()
-	}
-	j.mu.Unlock()
+	return s.newJob(base), nil
 }
 
-// attach registers a stream subscriber.
-func (j *job) attach() *subscriber {
-	sub := &subscriber{wake: make(chan struct{}, 1)}
-	j.mu.Lock()
-	j.subs[sub] = struct{}{}
-	j.mu.Unlock()
-	return sub
-}
-
-// detach removes a stream subscriber (client went away or was shed).
-func (j *job) detach(sub *subscriber) {
-	j.mu.Lock()
-	delete(j.subs, sub)
-	j.mu.Unlock()
-}
-
-// eventsSince atomically snapshots the retained frames newer than
-// cursor and the job record, so a subscriber observes frames and the
-// terminal state in a consistent order.
-func (j *job) eventsSince(cursor uint64) ([]streamEvent, muontrap.Job) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ring.since(cursor), j.rec
-}
-
-// snapshot returns a copy of the public record.
-func (j *job) snapshot() muontrap.Job {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rec
-}
-
-// doneResult returns a done job's result — the in-memory copy when the
-// job holds one (ephemeral daemon, or the store write failed), otherwise
-// the content-keyed store.
-func (s *Server) doneResult(j *job) (*muontrap.SweepResult, bool) {
-	j.mu.Lock()
-	res := j.result
-	key := j.rec.CacheKey
-	done := j.rec.State == muontrap.JobDone
-	j.mu.Unlock()
-	if !done {
-		return nil, false
-	}
-	if res != nil {
-		return res, true
-	}
-	return s.loadResult(key)
-}
-
-// lookup finds a job by ID.
-func (s *Server) lookup(id string) (*job, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
-	}
-	return j, nil
-}
-
-// validateSweep applies the same up-front identifier validation
-// Runner.Sweep performs, so a bad matrix is rejected at submission with
-// the sentinel-coded error rather than failing the job later.
-func validateSweep(sw muontrap.Sweep) error {
-	if len(sw.Workloads) == 0 && len(sw.Attacks) == 0 {
-		return fmt.Errorf("sweep declares no workloads or attacks")
-	}
-	if len(sw.Schemes) == 0 {
-		return fmt.Errorf("sweep declares no schemes")
-	}
-	for _, w := range sw.Workloads {
-		if _, err := muontrap.ParseWorkload(string(w)); err != nil {
-			return err
-		}
-	}
-	for _, a := range sw.Attacks {
-		if _, err := muontrap.ParseAttackName(string(a)); err != nil {
-			return err
-		}
-	}
-	for _, sch := range sw.Schemes {
-		if sch == "" {
-			continue // empty means the insecure baseline, as everywhere
-		}
-		if _, err := muontrap.ParseScheme(string(sch)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// effectiveScales resolves the sweep's scales exactly as the job's
-// runner will: an empty list means one run at the configured default.
-func (s *Server) effectiveScales(sw muontrap.Sweep) []float64 {
-	if len(sw.Scales) > 0 {
-		return sw.Scales
-	}
-	scale := s.cfg.Scale
-	if scale <= 0 {
-		scale = figures.DefaultOptions().Scale
-	}
-	return []float64{scale}
-}
-
-// cacheKey derives the content key of a sweep's result: the resolved
-// matrix in declaration order (order is part of the result — SweepResult
-// is declaration-ordered), every option that can change an outcome
-// (scales, cycle bound, warm-up depth, checkpoint cadence), and the
-// simulator build fingerprint. Worker count is deliberately absent: the
-// repo's determinism tests pin that parallelism never changes results.
-// Priority and tenant are absent for the same reason — they decide when
-// a result is computed, never what it is.
-func (s *Server) cacheKey(sw muontrap.Sweep) string {
-	maxCycles := sw.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = s.cfg.MaxCycles
-	}
-	if maxCycles <= 0 {
-		maxCycles = figures.DefaultOptions().MaxCycles
-	}
-	scales := make([]string, 0, len(sw.Scales))
-	for _, sc := range s.effectiveScales(sw) {
-		scales = append(scales, strconv.FormatFloat(sc, 'g', -1, 64))
-	}
-	wl := make([]string, len(sw.Workloads))
-	for i, w := range sw.Workloads {
-		wl[i] = string(w)
-	}
-	sch := make([]string, len(sw.Schemes))
-	for i, x := range sw.Schemes {
-		if x == "" {
-			// The empty scheme is the documented alias for the insecure
-			// baseline everywhere it is accepted; normalize before
-			// hashing so the alias and the name share one stored result.
-			x = muontrap.SchemeInsecure
-		}
-		sch[i] = string(x)
-	}
-	atk := make([]string, len(sw.Attacks))
-	for i, a := range sw.Attacks {
-		atk[i] = string(a)
-	}
-	canon := fmt.Sprintf("sweep|v%d|bin=%s|wl=%s|atk=%s|sch=%s|scales=%s|max=%d|warm=%d|every=%d",
-		journalVersion, figures.BinFingerprint(),
-		strings.Join(wl, ","), strings.Join(atk, ","), strings.Join(sch, ","),
-		strings.Join(scales, ","), maxCycles, s.cfg.Warmup, s.cfg.CheckpointEvery)
-	sum := sha256.Sum256([]byte(canon))
-	return hex.EncodeToString(sum[:])
-}
-
-// newJobID returns a fresh random job identifier.
-func newJobID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failure is unrecoverable noise; fall back to a
-		// time-derived ID rather than refusing service.
-		return fmt.Sprintf("job-t%x", time.Now().UnixNano())
-	}
-	return "job-" + hex.EncodeToString(b[:])
-}
-
-// ---- persistence: the job journal and the content-keyed result store --
-
-func (s *Server) jobPath(id string) string {
-	return filepath.Join(s.cfg.Dir, "service", "jobs", id+".json")
-}
-
-func (s *Server) resultStorePath(key string) string {
-	return filepath.Join(s.cfg.Dir, "service", "sweeps", key+".json")
-}
-
-// validCacheKey reports whether key has the exact shape cacheKey
-// produces: 64 lowercase hex digits. Everything else is rejected before
-// any filesystem path is built from it — /v1/results/{key} takes the
-// key from the URL, and Go's ServeMux decodes %2F inside a path
-// segment, so an unvalidated key would traverse out of the sweeps
-// directory and serve arbitrary *.json files to unauthenticated
-// clients.
-func validCacheKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// persist journals a job's current record, best-effort but loud: losing
-// the journal degrades restart-resume, so failures are reported on
-// stderr rather than swallowed.
-func (s *Server) persist(j *job) {
-	j.mu.Lock()
-	rec := j.rec
-	j.mu.Unlock()
-	s.writeJournal(rec)
-}
-
-// writeJournal writes one job record to the journal.
-func (s *Server) writeJournal(rec muontrap.Job) {
-	if s.cfg.Dir == "" {
-		return
-	}
-	e := jobEntry{
-		Version: journalVersion, Job: rec,
-		CheckpointEvery: s.cfg.CheckpointEvery, Warmup: s.cfg.Warmup,
-		Scale: s.cfg.Scale, MaxCycles: s.cfg.MaxCycles,
-	}
-	b, err := json.MarshalIndent(e, "", "\t")
-	if err != nil {
-		return
-	}
-	path := s.jobPath(e.Job.ID)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "muontrapd: job journal unavailable: %v\n", err)
-		return
-	}
-	if err := checkpoint.WriteAtomic(path, b); err != nil {
-		fmt.Fprintf(os.Stderr, "muontrapd: journaling %s failed: %v\n", e.Job.ID, err)
-	}
-}
-
-// storeResult persists a completed sweep's result under its cache key,
-// reporting whether it durably landed.
-func (s *Server) storeResult(key string, res *muontrap.SweepResult) bool {
-	if s.cfg.Dir == "" || res == nil {
-		return false
-	}
-	b, err := json.MarshalIndent(res, "", "\t")
-	if err != nil {
-		return false
-	}
-	path := s.resultStorePath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "muontrapd: result store unavailable: %v\n", err)
-		return false
-	}
-	if err := checkpoint.WriteAtomic(path, b); err != nil {
-		fmt.Fprintf(os.Stderr, "muontrapd: storing result %s failed: %v\n", key, err)
-		return false
-	}
-	return true
-}
-
-// loadResult fetches a stored sweep result by cache key. Any failure —
-// including a key that is not the canonical 64-hex shape — is a miss:
-// the store is an accelerator, never an oracle, and never a path oracle
-// either.
-func (s *Server) loadResult(key string) (*muontrap.SweepResult, bool) {
-	if s.cfg.Dir == "" || !validCacheKey(key) {
-		return nil, false
-	}
-	b, err := os.ReadFile(s.resultStorePath(key))
-	if err != nil {
-		return nil, false
-	}
-	var res muontrap.SweepResult
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, false
-	}
-	return &res, true
-}
-
-// compatible verifies that this daemon's identity-affecting
-// configuration matches what a journal entry was recorded under. On a
-// mismatch the job loads but refuses resume (409): its cache key embeds
-// the old values, and a resumed attempt under new flags would run a
-// different experiment while storing its result under the old key.
-// Startup itself never fails over this — one stale entry must not brick
-// the daemon.
-func (s *Server) compatible(e jobEntry) error {
-	mismatch := func(field string, old, new any) error {
-		return fmt.Errorf("job %s was recorded with %s=%v, this daemon is configured with %v; restart with the original flags to resume it",
-			e.Job.ID, field, old, new)
-	}
-	switch {
-	case e.CheckpointEvery != s.cfg.CheckpointEvery:
-		return mismatch("checkpoint cadence", e.CheckpointEvery, s.cfg.CheckpointEvery)
-	case e.Warmup != s.cfg.Warmup:
-		return mismatch("warmup", e.Warmup, s.cfg.Warmup)
-	case e.Scale != s.cfg.Scale:
-		return mismatch("scale", e.Scale, s.cfg.Scale)
-	case e.MaxCycles != s.cfg.MaxCycles:
-		return mismatch("max-cycles", e.MaxCycles, s.cfg.MaxCycles)
-	}
-	return nil
-}
-
-// loadJournal restores the job table from Dir/service/jobs. Jobs the
-// dead process left queued or running become interrupted — the crash
-// window restart-resume exists for — and jobs an expired drain timeout
-// journaled as interrupted stay so. Resumable entries recorded under
-// different identity-affecting flags (checkpoint cadence, warmup,
-// scale, cycle bound) load but refuse resume; see compatible.
-func (s *Server) loadJournal() error {
-	if s.cfg.Dir == "" {
-		return nil
-	}
-	dir := filepath.Join(s.cfg.Dir, "service", "jobs")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("service journal: %w", err)
-	}
-	names := make([]string, 0, len(ents))
-	for _, ent := range ents {
-		if strings.HasSuffix(ent.Name(), ".json") {
-			names = append(names, ent.Name())
-		}
-	}
-	sort.Strings(names)
-
-	var recs []jobEntry
-	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "muontrapd: skipping unreadable journal entry %s: %v\n", name, err)
-			continue
-		}
-		var e jobEntry
-		if err := json.Unmarshal(b, &e); err != nil || e.Version != journalVersion || e.Job.ID == "" {
-			fmt.Fprintf(os.Stderr, "muontrapd: skipping malformed journal entry %s\n", name)
-			continue
-		}
-		recs = append(recs, e)
-	}
-	// Recover submission order from the journaled timestamps: RFC 3339
-	// UTC strings sort chronologically; ties fall back to ID order,
-	// keeping the listing deterministic.
-	sort.SliceStable(recs, func(a, b int) bool {
-		if recs[a].Job.SubmittedAt != recs[b].Job.SubmittedAt {
-			return recs[a].Job.SubmittedAt < recs[b].Job.SubmittedAt
-		}
-		return recs[a].Job.ID < recs[b].Job.ID
-	})
-
-	for _, e := range recs {
-		rec := e.Job
-		switch rec.State {
-		case muontrap.JobQueued, muontrap.JobRunning:
-			// The interrupted state is normally derived, never journaled:
-			// the journal keeps saying queued/running (what death left
-			// behind), and every restart re-derives the same picture.
-			rec.State = muontrap.JobInterrupted
-			rec.Done = 0
-		case muontrap.JobInterrupted:
-			// Journaled explicitly by an expired drain timeout
-			// (Shutdown): the previous daemon abandoned the run on its
-			// way out. Same resumable picture.
-			rec.Done = 0
-		}
-		j := s.newJob(rec)
-		// Done jobs never re-run, so they place no constraint on this
-		// daemon's flags; any resumable entry recorded under different
-		// identity-affecting flags loads but refuses resume.
-		if rec.State != muontrap.JobDone {
-			if err := s.compatible(e); err != nil {
-				j.incompat = err.Error()
-				fmt.Fprintf(os.Stderr, "muontrapd: %v\n", err)
-			}
-		}
-		s.jobs[rec.ID] = j
-		s.order = append(s.order, rec.ID)
-	}
-	return nil
-}
+// Cells implements jobs.Backend: the daemon journals no shard map.
+func (s *Server) Cells(jobs.Handle) any { return nil }

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -120,8 +119,8 @@ func TestRemoteFig4SweepByteIdenticalToInProcess(t *testing.T) {
 }
 
 // TestSubmitMapsSentinelsAcrossTheWire: identifier validation errors
-// surface remotely with the same errors.Is sentinels as in-process, and
-// unknown job IDs map to ErrUnknownJob.
+// (workload, scheme, attack) surface remotely with the same errors.Is
+// sentinels as in-process, and unknown job IDs map to ErrUnknownJob.
 func TestSubmitMapsSentinelsAcrossTheWire(t *testing.T) {
 	c, _ := newTestServer(t, service.Config{})
 	ctx := context.Background()
@@ -139,6 +138,13 @@ func TestSubmitMapsSentinelsAcrossTheWire(t *testing.T) {
 	})
 	if !errors.Is(err, muontrap.ErrUnknownScheme) {
 		t.Fatalf("err = %v, want ErrUnknownScheme", err)
+	}
+	_, err = c.Submit(ctx, muontrap.Sweep{
+		Attacks: []muontrap.AttackName{"nope"},
+		Schemes: []muontrap.Scheme{"insecure"},
+	})
+	if !errors.Is(err, muontrap.ErrUnknownAttack) {
+		t.Fatalf("err = %v, want ErrUnknownAttack", err)
 	}
 	if _, err := c.Job(ctx, "job-doesnotexist"); !errors.Is(err, muontrap.ErrUnknownJob) {
 		t.Fatalf("err = %v, want ErrUnknownJob", err)
@@ -359,83 +365,6 @@ func TestStreamWireFormat(t *testing.T) {
 	}
 	if len(events) != 3 || events[0] != "job" || events[1] != "progress" || events[2] != "done" {
 		t.Fatalf("late-subscriber event sequence = %v, want [job progress done]", events)
-	}
-}
-
-// TestDoneIsPublishedOnlyWhenDurable holds a finished job's durable
-// writes open through a seam and checks that no reader observes it done
-// meanwhile; once a reader does, a daemon restarted on the same directory
-// lists it done and a resubmission is served from the result store.
-func TestDoneIsPublishedOnlyWhenDurable(t *testing.T) {
-	figures.ResetRunCache()
-	defer figures.ResetRunCache()
-	dir := t.TempDir()
-	srv, err := service.New(service.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entered := make(chan string, 1)
-	release := make(chan struct{})
-	var releaseOnce sync.Once
-	defer releaseOnce.Do(func() { close(release) }) // never strand the job on failure
-	service.SetBeforeDurable(srv, func(id string) {
-		entered <- id
-		<-release
-	})
-	hs := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		hs.Close()
-		srv.Close()
-	})
-	c := client.New(hs.URL)
-	ctx := context.Background()
-	sw := muontrap.Sweep{
-		Workloads: []muontrap.Workload{"hmmer"},
-		Schemes:   []muontrap.Scheme{"insecure"},
-		Scales:    []float64{0.05},
-	}
-	job, err := c.Submit(ctx, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case id := <-entered:
-		if id != job.ID {
-			t.Fatalf("durable writes began for %s, want %s", id, job.ID)
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("job never finished")
-	}
-	got, err := c.Job(ctx, job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := c.Jobs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State == muontrap.JobDone || len(jobs) != 1 || jobs[0].State == muontrap.JobDone {
-		t.Fatalf("job observable as done before its writes: %s / %+v", got.State, jobs)
-	}
-	releaseOnce.Do(func() { close(release) })
-	if got, err = c.Stream(ctx, job.ID, nil); err != nil || got.State != muontrap.JobDone {
-		t.Fatalf("job ended %s (%v), want done", got.State, err)
-	}
-
-	c2, _ := newTestServer(t, service.Config{Dir: dir})
-	jobs, err = c2.Jobs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 || jobs[0].State != muontrap.JobDone {
-		t.Fatalf("restarted daemon job list = %+v, want one done job", jobs)
-	}
-	again, err := c2.Submit(ctx, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.State != muontrap.JobDone {
-		t.Fatalf("resubmitted job state = %s, want done at submission", again.State)
 	}
 }
 

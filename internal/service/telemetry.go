@@ -21,7 +21,6 @@ type serviceMetrics struct {
 	resumed     *telemetry.Counter
 	reloadOK    *telemetry.Counter
 	reloadFail  *telemetry.Counter
-	sseSubs     *telemetry.Gauge
 
 	mu         sync.Mutex
 	jobSeconds map[string]*telemetry.Histogram // per tenant, lazily registered
@@ -46,9 +45,10 @@ func newServiceMetrics(reg *telemetry.Registry, s *Server) *serviceMetrics {
 			"Tenant-table hot reloads by result.", telemetry.L("result", "success")),
 		reloadFail: reg.Counter("muontrap_service_tenant_reloads_total",
 			"Tenant-table hot reloads by result.", telemetry.L("result", "failure")),
-		sseSubs: reg.Gauge("muontrap_service_sse_subscribers",
-			"SSE progress subscribers currently connected."),
 	}
+	reg.GaugeFunc("muontrap_service_sse_subscribers",
+		"SSE progress subscribers currently connected.",
+		func() float64 { return float64(s.front.Subscribers()) })
 	reg.GaugeFunc("muontrap_service_queue_depth",
 		"Jobs waiting for a runner slot.",
 		func() float64 { return float64(s.Stats().QueueDepth) })
@@ -112,20 +112,6 @@ func (m *serviceMetrics) reload(ok bool) {
 	}
 }
 
-func (m *serviceMetrics) sseAttach() {
-	if m == nil {
-		return
-	}
-	m.sseSubs.Add(1)
-}
-
-func (m *serviceMetrics) sseDetach() {
-	if m == nil {
-		return
-	}
-	m.sseSubs.Add(-1)
-}
-
 // observeJobSeconds records one job's submit→terminal wall time in its
 // tenant's latency histogram. Called once per finished job — never on a
 // hot path — so the lazy per-tenant registration mutex is harmless.
@@ -145,27 +131,14 @@ func (m *serviceMetrics) observeJobSeconds(tenant string, sec float64) {
 	h.Observe(sec)
 }
 
-// span emits one lifecycle record; a nil tracer drops it.
+// span emits one lifecycle record; a nil tracer drops it. A job's ID and
+// tenant never change once it is registered, so no lock is needed.
 func (s *Server) span(event string, j *job, seconds float64, detail string) {
 	if s.trace == nil {
 		return
 	}
-	j.mu.Lock()
-	id, tenant := j.rec.ID, j.rec.Tenant
-	j.mu.Unlock()
 	s.trace.Emit(telemetry.Span{
-		Event: event, Job: id, Tenant: tenant,
-		Seconds: seconds, Detail: detail,
-	})
-}
-
-// spanLocked is span for call sites already holding j.mu.
-func (s *Server) spanLocked(event string, j *job, seconds float64, detail string) {
-	if s.trace == nil {
-		return
-	}
-	s.trace.Emit(telemetry.Span{
-		Event: event, Job: j.rec.ID, Tenant: j.rec.Tenant,
+		Event: event, Job: j.Rec.ID, Tenant: j.Rec.Tenant,
 		Seconds: seconds, Detail: detail,
 	})
 }
@@ -188,11 +161,9 @@ func (s *Server) ReloadTenants(ts []Tenant) error {
 		return fmt.Errorf("refusing to reload an empty tenant table over an authenticated daemon; restart without -tenants to run open")
 	}
 	s.mu.Lock()
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		name := j.rec.Tenant
-		j.mu.Unlock()
-		j.tenant = tbl.owner(name)
+	for _, h := range s.front.Jobs() {
+		j := h.(*job)
+		j.tenant = tbl.owner(j.Snapshot().Tenant)
 	}
 	for class := range s.pending {
 		for _, j := range s.pending[class] {

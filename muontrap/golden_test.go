@@ -14,9 +14,9 @@ import (
 // the event queue's (when, seq) total order and the pipeline's scheduling
 // decisions are load-bearing for every figure in the evaluation.
 //
-// These runs go through muontrap.Run -> figures.RunOne, which is not
+// These runs go through Runner.Run -> figures.RunOne, which is not
 // memoized, so each entry is a fresh simulation.
-var golden = map[string]struct {
+var golden = map[muontrap.Scheme]struct {
 	Cycles    uint64
 	Committed uint64
 }{
@@ -28,9 +28,9 @@ var golden = map[string]struct {
 	"stt-future":         {Cycles: 21888, Committed: 25814},
 }
 
-func goldenRun(t *testing.T, scheme string) muontrap.Result {
+func goldenRun(t *testing.T, scheme muontrap.Scheme) muontrap.RunResult {
 	t.Helper()
-	res, err := muontrap.Run(muontrap.Config{Workload: "hmmer", Scheme: scheme, Scale: 0.1})
+	res, err := run("hmmer", scheme, 0.1)
 	if err != nil {
 		t.Fatalf("%s: %v", scheme, err)
 	}
@@ -42,7 +42,7 @@ func goldenRun(t *testing.T, scheme string) muontrap.Result {
 func TestGoldenCyclesPerScheme(t *testing.T) {
 	for scheme, want := range golden {
 		scheme, want := scheme, want
-		t.Run(scheme, func(t *testing.T) {
+		t.Run(string(scheme), func(t *testing.T) {
 			res := goldenRun(t, scheme)
 			if res.Cycles != want.Cycles || res.Instructions != want.Committed {
 				t.Fatalf("got %d cycles / %d committed, want %d / %d",
@@ -55,7 +55,7 @@ func TestGoldenCyclesPerScheme(t *testing.T) {
 // TestGoldenMultiCoreParsec pins a 4-core full-system run (timer ticks,
 // domain flushes, coherence traffic) under full MuonTrap.
 func TestGoldenMultiCoreParsec(t *testing.T) {
-	res, err := muontrap.Run(muontrap.Config{Workload: "canneal", Scheme: "muontrap", Scale: 0.05})
+	res, err := run("canneal", "muontrap", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,20 @@
 package muontrap_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/muontrap"
 )
 
+// run is one fresh, unmemoized simulation through the public Runner.
+func run(w muontrap.Workload, s muontrap.Scheme, scale float64) (muontrap.RunResult, error) {
+	return muontrap.NewRunner().Run(context.Background(), muontrap.RunSpec{Workload: w, Scheme: s, Scale: scale})
+}
+
 func TestRunBasic(t *testing.T) {
-	res, err := muontrap.Run(muontrap.Config{Workload: "hmmer", Scheme: "muontrap", Scale: 0.05})
+	res, err := run("hmmer", "muontrap", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +30,7 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunDefaultsToInsecure(t *testing.T) {
-	res, err := muontrap.Run(muontrap.Config{Workload: "hmmer", Scale: 0.05})
+	res, err := run("hmmer", "", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +40,10 @@ func TestRunDefaultsToInsecure(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := muontrap.Run(muontrap.Config{Workload: "nope"}); err == nil {
+	if _, err := run("nope", "", 0); err == nil {
 		t.Fatal("unknown workload should error")
 	}
-	if _, err := muontrap.Run(muontrap.Config{Workload: "hmmer", Scheme: "nope"}); err == nil {
+	if _, err := run("hmmer", "nope", 0); err == nil {
 		t.Fatal("unknown scheme should error")
 	}
 }
@@ -93,7 +99,7 @@ func TestAttackAPI(t *testing.T) {
 }
 
 func TestFigureUnknownID(t *testing.T) {
-	if _, err := muontrap.Figure("fig99", muontrap.DefaultOptions()); err == nil {
+	if _, err := muontrap.NewRunner().Figure(context.Background(), "fig99"); err == nil {
 		t.Fatal("unknown figure should error")
 	}
 }
