@@ -1,8 +1,8 @@
 // Command attacks runs the attack-scenario corpus against the compared
 // protection schemes and prints the security matrix: scenario (rows) vs
 // scheme (columns), each cell a leak(value,signal) or block(signal)
-// verdict. The matrix is rendered by the same code path as the figures
-// executor's, so its bytes match the pinned golden artifact.
+// verdict. It prints muontrap.SecurityMatrixResult.Render, the one
+// renderer, so its bytes match the pinned golden artifact.
 //
 // Usage:
 //

@@ -1,23 +1,23 @@
 package main
 
 import (
-	"context"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/attack"
-	"repro/internal/defense"
-	"repro/internal/figures"
 )
 
-// TestBinaryMatrixMatchesFigures is the e2e smoke: the attacks binary's
-// default output must be byte-for-byte the matrix the figures executor
-// renders in-process — one renderer, one artifact, no drift between the
-// CLI and the pinned golden table.
-func TestBinaryMatrixMatchesFigures(t *testing.T) {
+// TestBinaryMatrixMatchesGolden is the e2e smoke: the attacks binary's
+// default output must be byte for byte the pinned golden security matrix
+// — one renderer, one artifact, no drift between the CLI and the table
+// the regression suite pins.
+func TestBinaryMatrixMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the full corpus")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "muontrap", "testdata", "security_matrix.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	bin := filepath.Join(t.TempDir(), "attacks")
 	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/attacks").CombinedOutput(); err != nil {
@@ -27,14 +27,7 @@ func TestBinaryMatrixMatchesFigures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("attacks: %v", err)
 	}
-
-	want, err := figures.SecurityMatrix(context.Background(),
-		defense.SecurityComparison(), attack.Scenarios(), figures.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(stdout) != want.Render() {
-		t.Fatalf("binary matrix differs from the figures-level matrix:\nbinary:\n%s\nfigures:\n%s",
-			stdout, want.Render())
+	if string(stdout) != string(want) {
+		t.Fatalf("binary matrix differs from the golden:\nbinary:\n%s\ngolden:\n%s", stdout, want)
 	}
 }

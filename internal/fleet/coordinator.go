@@ -50,20 +50,6 @@ type Config struct {
 	// PerWorker caps concurrently dispatched cells per worker (0 = 1,
 	// matching a default worker's one-sweep-at-a-time runner pool).
 	PerWorker int
-	// PollInterval is the cadence at which attempt goroutines poll their
-	// worker's job status (0 = 250ms).
-	PollInterval time.Duration
-	// Tick bounds how long scheduling work (dead-worker sweeps, steals)
-	// can sit waiting when no completion wakes the scheduler (0 = 100ms).
-	Tick time.Duration
-	// WorkerRetries is the retry budget of the coordinator's per-worker
-	// HTTP clients (0 = 2).
-	WorkerRetries int
-	// WorkerFailLimit marks a worker dead after this many consecutive
-	// failed attempts against it (0 = 3) — the fast-path death signal for
-	// a worker whose process died but whose heartbeat entry has not yet
-	// timed out, and for one whose agent outlived its daemon.
-	WorkerFailLimit int
 	// Metrics, when non-nil, registers the fleet's metric series on it
 	// and mounts the registry at GET /metrics.
 	Metrics *telemetry.Registry
@@ -72,6 +58,20 @@ type Config struct {
 	// duplicate, worker_dead, done, failed).
 	Tracer *telemetry.Tracer
 }
+
+// Fixed scheduling parameters.
+const (
+	// tick bounds how long scheduling work (dead-worker sweeps, steals)
+	// can sit waiting when no completion wakes the scheduler.
+	tick = 100 * time.Millisecond
+	// workerRetries is the retry budget of the per-worker HTTP clients.
+	workerRetries = 2
+	// workerFailLimit marks a worker dead after this many consecutive
+	// failed attempts against it — the fast-path death signal for a
+	// worker whose process died but whose heartbeat entry has not yet
+	// timed out, and for one whose agent outlived its daemon.
+	workerFailLimit = 3
+)
 
 // Stats is the coordinator's observability surface: the /v1/healthz
 // payload, and the source the /metrics worker/scheduler families read
@@ -177,18 +177,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.PerWorker <= 0 {
 		cfg.PerWorker = 1
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 250 * time.Millisecond
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = 100 * time.Millisecond
-	}
-	if cfg.WorkerRetries <= 0 {
-		cfg.WorkerRetries = 2
-	}
-	if cfg.WorkerFailLimit <= 0 {
-		cfg.WorkerFailLimit = 3
-	}
 	ctx, stop := context.WithCancel(context.Background())
 	co := &Coordinator{
 		cfg:     cfg,
@@ -229,7 +217,7 @@ func New(cfg Config) (*Coordinator, error) {
 // coordinatorBase + StorePath.
 const StorePath = "/fleet/v1/store"
 
-// Close stops the scheduler and every attempt poller and waits for them.
+// Close stops the scheduler and every attempt and waits for them.
 // Like a worker daemon's kill, it journals nothing extra: the shard map
 // on disk already records exactly which cells finished, which is all a
 // restarted coordinator needs.
@@ -286,7 +274,7 @@ func (co *Coordinator) kick() {
 // (kick) and to time (tick: heartbeat expiry, straggler age).
 func (co *Coordinator) loop() {
 	defer co.wg.Done()
-	t := time.NewTicker(co.cfg.Tick)
+	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {
 		select {
@@ -338,7 +326,7 @@ func (co *Coordinator) markWorkerDeadLocked(w *worker) {
 }
 
 // closeAttemptLocked settles an attempt: removed from its cell, its
-// worker's slot freed, its poller cancelled. Idempotent. Callers hold
+// worker's slot freed, its stream cancelled. Idempotent. Callers hold
 // co.mu.
 func (co *Coordinator) closeAttemptLocked(a *attempt) {
 	if a.closed {
@@ -469,9 +457,10 @@ func (co *Coordinator) startAttemptLocked(c *cell, w *worker, now time.Time) {
 	go co.runAttempt(a)
 }
 
-// runAttempt drives one dispatch to its outcome: submit the single-cell
-// sweep to the worker (with resume when the cell migrated), poll the
-// remote job to a terminal state, fetch the result, and settle.
+// runAttempt drives one dispatch to its outcome the way client.Sweep
+// does: submit the single-cell sweep to the worker (with resume when the
+// cell migrated), follow the remote job's stream to its terminal state,
+// fetch the result, and settle.
 func (co *Coordinator) runAttempt(a *attempt) {
 	defer co.wg.Done()
 	defer a.cancel()
@@ -483,25 +472,15 @@ func (co *Coordinator) runAttempt(a *attempt) {
 		opts = append(opts, client.WithPriority(muontrap.PriorityInteractive))
 	}
 	job, err := a.w.client.Submit(a.ctx, a.c.sweep, opts...)
+	if err == nil {
+		co.mu.Lock()
+		a.remoteID = job.ID
+		co.mu.Unlock()
+		job, err = a.w.client.Stream(a.ctx, job.ID, nil)
+	}
 	if err != nil {
 		co.attemptFailed(a, err)
 		return
-	}
-	co.mu.Lock()
-	a.remoteID = job.ID
-	co.mu.Unlock()
-	for !job.State.Terminal() {
-		select {
-		case <-a.ctx.Done():
-			co.attemptFailed(a, a.ctx.Err())
-			return
-		case <-time.After(co.cfg.PollInterval):
-		}
-		job, err = a.w.client.Job(a.ctx, job.ID)
-		if err != nil {
-			co.attemptFailed(a, err)
-			return
-		}
 	}
 	switch job.State {
 	case muontrap.JobDone:
@@ -536,7 +515,7 @@ func (co *Coordinator) attemptFailed(a *attempt, err error) {
 	}
 	co.met.observeAttempt(a.started, false)
 	a.w.fails++
-	if a.w.fails >= co.cfg.WorkerFailLimit {
+	if a.w.fails >= workerFailLimit {
 		co.markWorkerDeadLocked(a.w)
 	}
 	co.requeueCellLocked(a.c)
@@ -569,14 +548,10 @@ func (co *Coordinator) attemptDone(a *attempt, res *muontrap.SweepResult) {
 		co.kick()
 		return
 	}
-	if res == nil || len(res.Runs) != 1 {
+	if len(res.Runs) != 1 {
 		// Cells are single-cell sweeps by construction.
-		n := 0
-		if res != nil {
-			n = len(res.Runs)
-		}
 		co.mu.Unlock()
-		co.failJob(c.job, fmt.Sprintf("fleet: worker %s returned %d runs for a single-cell sweep", a.w.id, n))
+		co.failJob(c.job, fmt.Sprintf("fleet: worker %s returned %d runs for a single-cell sweep", a.w.id, len(res.Runs)))
 		return
 	}
 	co.span(telemetry.Span{
@@ -593,7 +568,7 @@ func (co *Coordinator) attemptDone(a *attempt, res *muontrap.SweepResult) {
 		co.span(telemetry.Span{Event: "done", Job: j.Rec.ID})
 	}
 	// A slower sibling attempt (straggler being stolen from) is now moot:
-	// stop polling it and best-effort cancel the remote job.
+	// stop following it and best-effort cancel the remote job.
 	for sib := range c.attempts {
 		co.closeAttemptLocked(sib)
 		co.cancelRemote(sib)
@@ -710,11 +685,11 @@ func (co *Coordinator) cancelRemote(a *attempt) {
 // dispatch. resume pre-flags every cell to dispatch with
 // checkpoint-resume.
 func (co *Coordinator) Submit(_ *http.Request, base *jobs.Job, resume bool) (jobs.Handle, error) {
-	j := co.newJob(base)
-	queued := base.Rec.State == muontrap.JobQueued
-	for _, c := range j.cells {
-		c.resume = resume
+	j, err := co.newJob(base, resume)
+	if err != nil {
+		return nil, err
 	}
+	queued := base.Rec.State == muontrap.JobQueued
 	co.mu.Lock()
 	j.active = queued
 	co.jobs = append(co.jobs, j)
@@ -728,45 +703,34 @@ func (co *Coordinator) Submit(_ *http.Request, base *jobs.Job, resume bool) (job
 	return j, nil
 }
 
-// newJob shards a validated sweep into cells, deduplicating repeated
-// declarations by cache key (they share one dispatch and one merge).
-// Cells follow Runner.Sweep's declaration order: the workload block
-// (workloads × schemes × scales), then the attack block (attacks ×
-// schemes, no scale dimension: attack outcomes are scale-independent).
-func (co *Coordinator) newJob(base *jobs.Job) *fleetJob {
-	sw := base.Rec.Sweep
-	j := &fleetJob{Job: base, results: make([]*muontrap.RunResult, base.Rec.Total)}
+// newJob shards a sweep into its cells (muontrap.Sweep.Cells, so the
+// declaration order is Runner.Sweep's), deduplicating repeated
+// declarations by cache key: they share one dispatch and one merge.
+// resume flags every cell to dispatch with checkpoint-resume.
+func (co *Coordinator) newJob(base *jobs.Job, resume bool) (*fleetJob, error) {
+	n, cells, err := base.Rec.Sweep.Cells(co.cfg.Scale, co.cfg.MaxCycles)
+	if err != nil {
+		return nil, err
+	}
+	j := &fleetJob{Job: base, results: make([]*muontrap.RunResult, len(cells))}
 	byKey := make(map[string]*cell)
-	idx := 0
-	add := func(sub muontrap.Sweep) {
-		sub.MaxCycles = sw.MaxCycles
+	for i, c := range cells {
+		sub := muontrap.Sweep{Schemes: []muontrap.Scheme{c.Scheme}, MaxCycles: n.MaxCycles}
+		if c.Attack != "" {
+			sub.Attacks = []muontrap.AttackName{c.Attack}
+		} else {
+			sub.Workloads, sub.Scales = []muontrap.Workload{c.Workload}, []float64{c.Scale}
+		}
 		key := co.id.Key(sub)
-		c := byKey[key]
-		if c == nil {
-			c = &cell{job: j, key: key, sweep: sub, attempts: make(map[*attempt]struct{})}
-			byKey[key] = c
-			j.cells = append(j.cells, c)
+		fc := byKey[key]
+		if fc == nil {
+			fc = &cell{job: j, key: key, sweep: sub, resume: resume, attempts: make(map[*attempt]struct{})}
+			byKey[key] = fc
+			j.cells = append(j.cells, fc)
 		}
-		c.indexes = append(c.indexes, idx)
-		idx++
+		fc.indexes = append(fc.indexes, i)
 	}
-	for _, w := range sw.Workloads {
-		for _, s := range sw.Schemes {
-			for _, scale := range co.id.Scales(sw) {
-				sub := muontrap.Sweep{Workloads: []muontrap.Workload{w}, Schemes: []muontrap.Scheme{s}}
-				if len(sw.Scales) > 0 {
-					sub.Scales = []float64{scale}
-				}
-				add(sub)
-			}
-		}
-	}
-	for _, a := range sw.Attacks {
-		for _, s := range sw.Schemes {
-			add(muontrap.Sweep{Attacks: []muontrap.AttackName{a}, Schemes: []muontrap.Scheme{s}})
-		}
-	}
-	return j
+	return j, nil
 }
 
 // Cancel implements jobs.Backend: it aborts a queued or running fleet
@@ -846,7 +810,7 @@ func (co *Coordinator) register(req RegisterRequest) RegisterResponse {
 		id:       newWorkerID(),
 		name:     req.Name,
 		base:     req.BaseURL,
-		client:   client.New(req.BaseURL, client.WithRetries(co.cfg.WorkerRetries)),
+		client:   client.New(req.BaseURL, client.WithRetries(workerRetries)),
 		lastSeen: time.Now(),
 	}
 	co.workers[w.id] = w

@@ -5,16 +5,18 @@
 // The Coordinator is the second backend of the internal/jobs front-end,
 // so it serves the very /v1/jobs surface a single daemon does and
 // muontrap/client drives a fleet and a lone daemon with identical code.
-// On top of it the coordinator serves only its /fleet/v1/* control plane
-// and the shared checkpoint store. Internally it splits a submitted sweep's resolved cell list into
-// single-cell jobs, dispatches them to registered workers (registration
-// and heartbeat over HTTP, see Agent), steals cells from stragglers, and
-// — when a worker dies mid-cell — re-dispatches the interrupted cell to
-// another machine with checkpoint-resume enabled. The migrated run picks
-// up from the dead worker's latest mid-run checkpoint, which is
-// network-reachable because every worker mirrors its checkpoints into
-// the coordinator's HTTP content store (checkpoint.Mirror over
-// checkpoint.HTTPStore, same keying as the local store).
+// On top of it the coordinator serves only its /fleet/v1/* control
+// plane and the shared checkpoint store. Internally it splits a
+// submitted sweep into single-cell jobs with muontrap.Sweep.Cells,
+// dispatches them to registered workers (see Agent) as client.Sweep
+// would — submit, follow the job's stream, fetch the result — steals
+// cells from stragglers, and — when a worker dies mid-cell —
+// re-dispatches the interrupted cell to another machine with
+// checkpoint-resume enabled. The migrated run picks up from the dead
+// worker's latest mid-run checkpoint, which is network-reachable
+// because every worker mirrors its checkpoints into the coordinator's
+// HTTP content store (checkpoint.Mirror over checkpoint.HTTPStore, same
+// keying as the local store).
 //
 // Merging is idempotent and declaration-ordered: each cell's result
 // lands under its cache key exactly once (a duplicate completion — the

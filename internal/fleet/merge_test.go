@@ -9,15 +9,15 @@ import (
 )
 
 // inertCoordinator builds a coordinator whose scheduler never acts on
-// its own (hour-scale tick and timeouts, no workers registered), so a
-// test can drive the attempt lifecycle by hand.
+// its own, so a test can drive the attempt lifecycle by hand: its ticks
+// find no registered worker to dispatch to or expire, and stealing is
+// off (StealAfter 0).
 func inertCoordinator(t *testing.T) *Coordinator {
 	t.Helper()
 	co, err := New(Config{
 		Dir:              t.TempDir(),
 		CheckpointEvery:  2000,
 		HeartbeatTimeout: time.Hour,
-		Tick:             time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func inertCoordinator(t *testing.T) *Coordinator {
 }
 
 // openAttempt wires a hand-made attempt into a cell exactly as
-// startAttemptLocked would, minus the poller goroutine.
+// startAttemptLocked would, minus the attempt goroutine.
 func openAttempt(co *Coordinator, c *cell, w *worker) *attempt {
 	ctx, cancel := context.WithCancel(context.Background())
 	a := &attempt{w: w, c: c, ctx: ctx, cancel: cancel, started: time.Now()}

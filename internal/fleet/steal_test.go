@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -15,8 +16,9 @@ import (
 
 // wedgedWorker is a fake worker daemon that accepts every submission
 // and then runs it forever: the canonical straggler. It answers the
-// exact wire shapes a real daemon does, so the coordinator cannot tell
-// it from a healthy-but-glacial machine.
+// exact wire shapes a real daemon does — its job stream opens with the
+// snapshot and never reaches a terminal event — so the coordinator
+// cannot tell it from a healthy-but-glacial machine.
 func wedgedWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -28,14 +30,24 @@ func wedgedWorker(t *testing.T) *httptest.Server {
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeJob(w, http.StatusAccepted, muontrap.Job{ID: "job-wedged", State: muontrap.JobRunning, Total: 1})
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		writeJob(w, http.StatusOK, muontrap.Job{ID: r.PathValue("id"), State: muontrap.JobRunning, Total: 1})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		// The job snapshot, then no frame ever: the stream stays open
+		// until the reader goes away.
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		job := muontrap.Job{ID: r.PathValue("id"), State: muontrap.JobRunning, Total: 1}
+		fmt.Fprintf(w, "event: job\ndata: %s\n\n", mustJSON(t, job))
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		writeJob(w, http.StatusAccepted, muontrap.Job{ID: r.PathValue("id"), State: muontrap.JobCancelled, Total: 1})
 	})
 	hs := httptest.NewServer(mux)
-	t.Cleanup(hs.Close)
+	t.Cleanup(func() {
+		hs.CloseClientConnections() // end any stream still held open
+		hs.Close()
+	})
 	return hs
 }
 

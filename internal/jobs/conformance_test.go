@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -186,7 +188,17 @@ func (d *daemon) call(t *testing.T, method, path, body string) (int, string) {
 func TestConformance(t *testing.T) {
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
-			d := b.start(t, t.TempDir(), true, nil)
+			dir := t.TempDir()
+			// Out-of-store targets an escaped result key could reach.
+			for _, name := range []string{"service", "fleet"} {
+				if err := os.MkdirAll(filepath.Join(dir, name), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name, "secret.json"), []byte(`{"runs":[]}`), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d := b.start(t, dir, true, nil)
 			t.Run("wire", func(t *testing.T) { wireCases(t, d) })
 			t.Run("walk", func(t *testing.T) { walk(t, d) })
 		})
@@ -194,8 +206,9 @@ func TestConformance(t *testing.T) {
 }
 
 // wireCases pins status codes and error codes: validation maps onto the
-// muontrap sentinels' wire codes, unknown resources are 404s, and the
-// discovery endpoints answer.
+// muontrap sentinels' wire codes, unknown resources are 404s (a result
+// key that is not 64 lowercase hex digits never reaches the
+// filesystem), and the discovery endpoints answer.
 func wireCases(t *testing.T, d *daemon) {
 	huge := `{"sweep":{"workloads":["` + strings.Repeat("x", jobs.MaxBodyBytes) + `"],"schemes":["insecure"]}}`
 	for _, tc := range []struct {
@@ -219,6 +232,10 @@ func wireCases(t *testing.T, d *daemon) {
 		{"POST", "/v1/jobs/job-bogus/resume", "", 404, "unknown_job"},
 		{"GET", "/v1/results/" + strings.Repeat("0", 64), "", 404, "unknown_result"},
 		{"GET", "/v1/results/..%2Fjobs%2Fx", "", 404, "unknown_result"},
+		{"GET", "/v1/results/..%2Fsecret", "", 404, "unknown_result"},
+		{"GET", "/v1/results/..%2F..%2Fservice%2Fsecret", "", 404, "unknown_result"},
+		{"GET", "/v1/results/%2e%2e%2f%2e%2e%2fservice%2fsecret", "", 404, "unknown_result"},
+		{"GET", "/v1/results/" + strings.Repeat("0", 63), "", 404, "unknown_result"},
 		{"GET", "/v1/results/" + strings.Repeat("Z", 64), "", 404, "unknown_result"},
 	} {
 		status, body := d.call(t, tc.method, tc.path, tc.body)
@@ -234,9 +251,12 @@ func wireCases(t *testing.T, d *daemon) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cat.Workloads) != len(muontrap.Workloads()) || len(cat.Figures) != len(muontrap.FigureIDs()) ||
-		len(cat.Attacks) != len(muontrap.AttackNames()) || cat.SchemeDoc["muontrap"] == "" {
-		t.Errorf("catalog incomplete: %d workloads, %d figures, %d attacks", len(cat.Workloads), len(cat.Figures), len(cat.Attacks))
+	if len(cat.Workloads) != 33 || len(cat.Workloads) != len(muontrap.Workloads()) ||
+		len(cat.Schemes) == 0 || len(cat.Schemes) != len(muontrap.Schemes()) ||
+		len(cat.Figures) != 7 || len(cat.Figures) != len(muontrap.FigureIDs()) ||
+		len(cat.Attacks) < 12 || len(cat.Attacks) != len(muontrap.AttackNames()) || cat.SchemeDoc["muontrap"] == "" {
+		t.Errorf("catalog incomplete: %d workloads, %d schemes, %d figures, %d attacks",
+			len(cat.Workloads), len(cat.Schemes), len(cat.Figures), len(cat.Attacks))
 	}
 	if status, body := d.call(t, "GET", "/v1/healthz", ""); status != 200 || !strings.Contains(body, `"status": "ok"`) {
 		t.Errorf("healthz: HTTP %d %s", status, body)
@@ -356,7 +376,9 @@ func marshal(t *testing.T, res *muontrap.SweepResult) []byte {
 }
 
 // readStream reads one SSE connection to its terminal event, returning
-// the progress frame ids and the terminal event name.
+// the progress frame ids and the terminal event name. The stream must
+// carry exactly the job snapshot, the progress frames and the terminal
+// event, in that order.
 func readStream(t *testing.T, base, id, lastEventID string) (ids []string, terminal string) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/stream", nil)
@@ -389,8 +411,8 @@ func readStream(t *testing.T, base, id, lastEventID string) (ids []string, termi
 			if event == "progress" {
 				ids = append(ids, frameID)
 			} else if muontrap.JobState(event).Terminal() {
-				if events[0] != "job" {
-					t.Fatalf("stream opened with %q, want the job snapshot", events[0])
+				if events[0] != "job" || len(events) != len(ids)+2 {
+					t.Fatalf("stream events %v, want the job snapshot, progress frames, terminal event", events)
 				}
 				return ids, event
 			}

@@ -29,55 +29,6 @@ type Identity struct {
 	MaxCycles       int     `json:"max_cycles"`
 }
 
-// validate applies the same up-front identifier validation Runner.Sweep
-// performs, so a bad matrix is rejected at submission with the
-// sentinel-coded error rather than failing the job later.
-func validate(sw muontrap.Sweep) error {
-	if len(sw.Workloads) == 0 && len(sw.Attacks) == 0 {
-		return fmt.Errorf("sweep declares no workloads or attacks")
-	}
-	if len(sw.Schemes) == 0 {
-		return fmt.Errorf("sweep declares no schemes")
-	}
-	for _, w := range sw.Workloads {
-		if _, err := muontrap.ParseWorkload(string(w)); err != nil {
-			return err
-		}
-	}
-	for _, a := range sw.Attacks {
-		if _, err := muontrap.ParseAttackName(string(a)); err != nil {
-			return err
-		}
-	}
-	for _, sch := range sw.Schemes {
-		if sch == "" {
-			continue // empty means the insecure baseline, as everywhere
-		}
-		if _, err := muontrap.ParseScheme(string(sch)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Scales resolves a sweep's scales exactly as a runner at this identity
-// will: an empty list means one run at the configured default.
-func (id Identity) Scales(sw muontrap.Sweep) []float64 {
-	if len(sw.Scales) > 0 {
-		return sw.Scales
-	}
-	scale := id.Scale
-	if scale <= 0 {
-		scale = figures.DefaultOptions().Scale
-	}
-	return []float64{scale}
-}
-
-// total counts a sweep's declared cells.
-func (id Identity) total(sw muontrap.Sweep) int {
-	return len(sw.Workloads)*len(sw.Schemes)*len(id.Scales(sw)) + len(sw.Attacks)*len(sw.Schemes)
-}
-
 // Key derives the content key of a sweep's result: the SHA-256 of
 // canonical.
 func (id Identity) Key(sw muontrap.Sweep) string {
@@ -85,47 +36,32 @@ func (id Identity) Key(sw muontrap.Sweep) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// canonical is the pre-hash key string: the resolved matrix in
-// declaration order (order is part of the result — SweepResult is
-// declaration-ordered), every option that can change an outcome, and the
-// simulator build fingerprint. Worker count is deliberately absent: the
+// canonical is the pre-hash key string: the normalized matrix
+// (muontrap.Sweep.Normalize at this identity) in declaration order
+// (order is part of the result — SweepResult is declaration-ordered),
+// every option that can change an outcome, and the simulator build
+// fingerprint. Worker count is deliberately absent: the
 // determinism tests pin that parallelism never changes results. Priority
 // and tenant are absent for the same reason — they decide when a result
 // is computed, never what it is.
 func (id Identity) canonical(sw muontrap.Sweep) string {
-	maxCycles := sw.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = id.MaxCycles
-	}
-	if maxCycles <= 0 {
-		maxCycles = figures.DefaultOptions().MaxCycles
-	}
-	scales := make([]string, 0, len(sw.Scales))
-	for _, sc := range id.Scales(sw) {
-		scales = append(scales, strconv.FormatFloat(sc, 'g', -1, 64))
-	}
-	wl := make([]string, len(sw.Workloads))
-	for i, w := range sw.Workloads {
-		wl[i] = string(w)
-	}
-	sch := make([]string, len(sw.Schemes))
-	for i, x := range sw.Schemes {
-		if x == "" {
-			// The empty scheme is the documented alias for the insecure
-			// baseline everywhere it is accepted; normalize before hashing
-			// so the alias and the name share one stored result.
-			x = muontrap.SchemeInsecure
-		}
-		sch[i] = string(x)
-	}
-	atk := make([]string, len(sw.Attacks))
-	for i, a := range sw.Attacks {
-		atk[i] = string(a)
+	n := sw.Normalize(id.Scale, id.MaxCycles)
+	scales := make([]string, len(n.Scales))
+	for i, sc := range n.Scales {
+		scales[i] = strconv.FormatFloat(sc, 'g', -1, 64)
 	}
 	return fmt.Sprintf("sweep|v%d|bin=%s|wl=%s|atk=%s|sch=%s|scales=%s|max=%d|warm=%d|every=%d",
-		journalVersion, figures.BinFingerprint(),
-		strings.Join(wl, ","), strings.Join(atk, ","), strings.Join(sch, ","),
-		strings.Join(scales, ","), maxCycles, id.Warmup, id.CheckpointEvery)
+		journalVersion, figures.BinFingerprint(), join(n.Workloads), join(n.Attacks), join(n.Schemes),
+		strings.Join(scales, ","), n.MaxCycles, id.Warmup, id.CheckpointEvery)
+}
+
+// join renders an identifier list comma-separated.
+func join[T ~string](names []T) string {
+	s := make([]string, len(names))
+	for i, n := range names {
+		s[i] = string(n)
+	}
+	return strings.Join(s, ",")
 }
 
 // check verifies that a journaled job's identity matches this one. On a

@@ -38,7 +38,7 @@ func TestCanonicalKeyStringPinned(t *testing.T) {
 		"|wl=hmmer|atk=|sch=insecure|scales=0.2|max=40000000|warm=0|every=0" {
 		t.Fatalf("scale-less canonical string = %s", got)
 	}
-	if n := id.total(sw); n != 2*2*2+1*2 {
-		t.Fatalf("total = %d, want 10", n)
+	if _, cells, err := sw.Cells(id.Scale, id.MaxCycles); err != nil || len(cells) != 2*2*2+1*2 {
+		t.Fatalf("cells = %d (%v), want 10", len(cells), err)
 	}
 }

@@ -225,10 +225,11 @@ func (f *Front) Subscribers() int64 { return f.subscribers.Load() }
 // the stored result or hands it to the backend. The bool reports a
 // born-done result-store hit.
 func (f *Front) Submit(r *http.Request, sw muontrap.Sweep, prio muontrap.Priority, resume bool) (muontrap.Job, bool, error) {
-	if err := validate(sw); err != nil {
+	_, cells, err := sw.Cells(f.id.Scale, f.id.MaxCycles)
+	if err != nil {
 		return muontrap.Job{}, false, err
 	}
-	prio, err := muontrap.ParsePriority(string(prio))
+	prio, err = muontrap.ParsePriority(string(prio))
 	if err != nil {
 		return muontrap.Job{}, false, err
 	}
@@ -238,7 +239,7 @@ func (f *Front) Submit(r *http.Request, sw muontrap.Sweep, prio muontrap.Priorit
 		Sweep:       sw,
 		CacheKey:    f.id.Key(sw),
 		Priority:    prio,
-		Total:       f.id.total(sw),
+		Total:       len(cells),
 		SubmittedAt: now(),
 	}
 	j := newJob(rec)

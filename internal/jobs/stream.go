@@ -36,11 +36,6 @@ type streamEvent struct {
 	data []byte
 }
 
-// minStreamHistory is the smallest ring: enough for the paper's full 33×6
-// evaluation matrix. Rings grow to a job's Total, so every subscriber of
-// a live job can replay it whole.
-const minStreamHistory = 256
-
 // streamWriteTimeout bounds one SSE write; a consumer that cannot accept
 // a frame within it is disconnected (resumably, via Last-Event-ID)
 // rather than pinning daemon memory or a goroutine.
@@ -53,9 +48,12 @@ type eventRing struct {
 	n    int // live frames (≤ cap)
 }
 
-// newEventRing sizes a job's ring to hold all total frames.
+// newEventRing sizes a job's ring to hold all total frames: an attempt
+// publishes at most one frame per cell (a new attempt clears the ring
+// first), so a subscriber of a live job replays it whole, and a done
+// job's frames are synthesized from its result.
 func newEventRing(total int) *eventRing {
-	return &eventRing{buf: make([]streamEvent, max(minStreamHistory, total))}
+	return &eventRing{buf: make([]streamEvent, max(1, total))}
 }
 
 // append records a frame, evicting the oldest when full.

@@ -47,14 +47,17 @@ func TestEventRingRetentionAndCursor(t *testing.T) {
 	}
 }
 
-// The smallest ring must hold the paper's full 33×6 evaluation matrix,
-// and a larger job's ring its every frame, so a subscriber to a live
-// sweep never loses a frame to eviction.
+// A job's ring is sized to its cell count: every frame of a live attempt
+// replays, none evicted, whatever the job's size.
 func TestEventRingDefaultCapacityHoldsFullMatrix(t *testing.T) {
-	if r := newEventRing(0); len(r.buf) < 33*6 {
-		t.Fatalf("default ring capacity %d cannot hold the 33×6 matrix", len(r.buf))
-	}
-	if r := newEventRing(1000); len(r.buf) < 1000 {
-		t.Fatalf("ring capacity %d cannot hold a 1000-cell job", len(r.buf))
+	for _, total := range []int{1, 198, 1000} {
+		r := newEventRing(total)
+		for id := uint64(1); id <= uint64(total); id++ {
+			r.append(streamEvent{id: id, name: "progress"})
+		}
+		got := r.since(0)
+		if len(got) != total || got[0].id != 1 || got[total-1].id != uint64(total) {
+			t.Fatalf("Total %d: replayed %d frames, want all %d in order", total, len(got), total)
+		}
 	}
 }

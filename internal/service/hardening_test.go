@@ -1,7 +1,6 @@
 package service_test
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -481,93 +480,5 @@ func TestInteractivePreemptsBulkByteIdentical(t *testing.T) {
 	}
 	if got, want := marshal(t, res), marshal(t, ref); string(got) != string(want) {
 		t.Fatalf("preempted sweep result differs from unpreempted reference:\ngot:  %s\nwant: %s", got, want)
-	}
-}
-
-// TestStreamLastEventIDResumesAfterCursor pins the SSE resumption wire
-// contract: progress frames carry "id:" lines, and a reconnect
-// presenting Last-Event-ID receives only frames after that cursor —
-// both from the live ring and from the synthesized replay of a
-// born-done (result-store hit) job, which has no ring at all.
-func TestStreamLastEventIDResumesAfterCursor(t *testing.T) {
-	figures.ResetRunCache()
-	defer figures.ResetRunCache()
-	ctx := context.Background()
-	c, hs := newTestServer(t, service.Config{Dir: t.TempDir()})
-	sw := muontrap.Sweep{
-		Workloads: []muontrap.Workload{"hmmer"},
-		Schemes:   []muontrap.Scheme{"", "muontrap"}, // two cells → frame ids 1 and 2
-		Scales:    []float64{0.062},
-	}
-	if _, err := c.Sweep(ctx, sw); err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := c.Jobs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := jobs[len(jobs)-1].ID
-
-	read := func(lastEventID string) (progressIDs []string, terminal string) {
-		t.Helper()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+"/v1/jobs/"+id+"/stream", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lastEventID != "" {
-			req.Header.Set("Last-Event-ID", lastEventID)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var frameID, event string
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "id:"):
-				frameID = strings.TrimSpace(strings.TrimPrefix(line, "id:"))
-			case strings.HasPrefix(line, "event:"):
-				event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-			case line == "":
-				if event == "progress" {
-					progressIDs = append(progressIDs, frameID)
-				} else if muontrap.JobState(event).Terminal() {
-					return progressIDs, event
-				}
-				frameID, event = "", ""
-			}
-		}
-		t.Fatal("stream ended without a terminal event")
-		return
-	}
-
-	// Full replay from the retained ring.
-	ids, terminal := read("")
-	if len(ids) != 2 || ids[0] != "1" || ids[1] != "2" || terminal != "done" {
-		t.Fatalf("fresh stream: progress ids %v, terminal %q; want [1 2] and done", ids, terminal)
-	}
-	// Resuming after frame 1 replays only frame 2.
-	ids, terminal = read("1")
-	if len(ids) != 1 || ids[0] != "2" || terminal != "done" {
-		t.Fatalf("resumed stream: progress ids %v, terminal %q; want [2] and done", ids, terminal)
-	}
-
-	// A born-done resubmission is answered from the result store with no
-	// ring frames; its synthesized replay honors the same cursor with
-	// positional ids.
-	born, err := c.Submit(ctx, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if born.State != muontrap.JobDone || born.ID == id {
-		t.Fatalf("resubmission: state %s id %s, want a fresh born-done job", born.State, born.ID)
-	}
-	id = born.ID
-	ids, terminal = read("1")
-	if len(ids) != 1 || ids[0] != "2" || terminal != "done" {
-		t.Fatalf("synthesized resumed stream: progress ids %v, terminal %q; want [2] and done", ids, terminal)
 	}
 }

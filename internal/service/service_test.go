@@ -1,7 +1,6 @@
 package service_test
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -155,28 +154,6 @@ func TestSubmitMapsSentinelsAcrossTheWire(t *testing.T) {
 	}
 }
 
-// TestCatalogEnumeratesIdentifiers: a non-Go client can discover every
-// valid workload/scheme/figure identifier from the daemon itself.
-func TestCatalogEnumeratesIdentifiers(t *testing.T) {
-	c, _ := newTestServer(t, service.Config{})
-	cat, err := c.Catalog(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cat.Workloads) != 33 {
-		t.Fatalf("catalog lists %d workloads, want 33", len(cat.Workloads))
-	}
-	if len(cat.Schemes) == 0 || len(cat.Figures) != 7 {
-		t.Fatalf("catalog incomplete: %d schemes, %d figures", len(cat.Schemes), len(cat.Figures))
-	}
-	if len(cat.Attacks) < 12 {
-		t.Fatalf("catalog lists %d attacks, want the full corpus", len(cat.Attacks))
-	}
-	if cat.SchemeDoc["muontrap"] == "" {
-		t.Fatal("catalog carries no scheme descriptions")
-	}
-}
-
 // TestCancelRemoteJobMidSimulation: DELETE aborts an in-flight
 // simulation promptly — the cancellation is threaded from the HTTP
 // handler through the runner into the simulator's cycle loop.
@@ -321,53 +298,6 @@ func TestResultStoreServesResubmission(t *testing.T) {
 	}
 }
 
-// TestStreamWireFormat reads the SSE endpoint raw off the socket for an
-// already-finished job: the first frame must be the `job` snapshot, the
-// full progress history must replay (one frame for this 1-cell sweep),
-// and the terminal frame must be named after the state.
-func TestStreamWireFormat(t *testing.T) {
-	figures.ResetRunCache()
-	defer figures.ResetRunCache()
-	c, hs := newTestServer(t, service.Config{})
-	ctx := context.Background()
-
-	sw := muontrap.Sweep{
-		Workloads: []muontrap.Workload{"hmmer"},
-		Schemes:   []muontrap.Scheme{"insecure"},
-		Scales:    []float64{0.05},
-	}
-	job, err := c.Submit(ctx, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stream(ctx, job.ID, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + job.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream Content-Type = %q", ct)
-	}
-	var events []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "event: ") {
-			events = append(events, strings.TrimPrefix(line, "event: "))
-		}
-		if len(events) > 0 && events[len(events)-1] == "done" {
-			break
-		}
-	}
-	if len(events) != 3 || events[0] != "job" || events[1] != "progress" || events[2] != "done" {
-		t.Fatalf("late-subscriber event sequence = %v, want [job progress done]", events)
-	}
-}
-
 // TestJournalSurvivesRestart: a graceful restart over the same
 // directory re-serves a done job's status and result (the record from
 // the journal, the result from the content-keyed store); restarting at
@@ -448,40 +378,6 @@ func TestJournalSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, c4, long.ID, muontrap.JobCancelled, 10*time.Second)
-}
-
-// TestResultKeyRejectsPathTraversal: the {key} URL segment is attacker-
-// controlled and ServeMux decodes %2F inside it; a key that is not the
-// canonical 64-hex shape must 404 without ever touching the filesystem.
-// (Regression: an unvalidated key could read any *.json on the host via
-// GET /v1/results/..%2F..%2F<path>.)
-func TestResultKeyRejectsPathTraversal(t *testing.T) {
-	dir := t.TempDir()
-	// A juicy out-of-store target an escaped key could previously reach.
-	if err := os.MkdirAll(filepath.Join(dir, "service"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "service", "secret.json"), []byte(`{"runs":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, hs := newTestServer(t, service.Config{Dir: dir})
-
-	for _, key := range []string{
-		"..%2Fsecret",
-		"..%2F..%2Fservice%2Fsecret",
-		"%2e%2e%2f%2e%2e%2fservice%2fsecret",
-		strings.Repeat("0", 63), // right charset, wrong length
-		strings.Repeat("Z", 64), // right length, wrong charset
-	} {
-		resp, err := http.Get(hs.URL + "/v1/results/" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET /v1/results/%s = HTTP %d, want 404", key, resp.StatusCode)
-		}
-	}
 }
 
 // TestServerKillRestartResumeIdenticalTable is the acceptance gate for

@@ -45,14 +45,14 @@ func Attack(name AttackName, scheme Scheme, secret int) (AttackResult, error) {
 	if scheme == "" {
 		scheme = SchemeInsecure
 	}
-	sch, err := defense.ByName(string(scheme))
-	if err != nil {
-		return AttackResult{}, fmt.Errorf("%w %q (see Schemes())", ErrUnknownScheme, scheme)
+	if _, err := ParseScheme(string(scheme)); err != nil {
+		return AttackResult{}, err
 	}
 	sc, ok := attack.ScenarioByName(string(name))
 	if !ok {
 		return AttackResult{}, fmt.Errorf("%w %q (see AttackNames())", ErrUnknownAttack, name)
 	}
+	sch, _ := defense.ByName(string(scheme))
 	return attack.RunSecret(sc, sch, secret), nil
 }
 
@@ -66,10 +66,10 @@ func NewSystem(scheme Scheme, cores int) (*System, error) {
 	if scheme == "" {
 		scheme = SchemeInsecure
 	}
-	sch, err := defense.ByName(string(scheme))
-	if err != nil {
-		return nil, fmt.Errorf("%w %q (see Schemes())", ErrUnknownScheme, scheme)
+	if _, err := ParseScheme(string(scheme)); err != nil {
+		return nil, err
 	}
+	sch, _ := defense.ByName(string(scheme))
 	cfg := sim.DefaultConfig(cores)
 	cfg.CPU.Defense = sch.CPU
 	cfg.Mem.Mode = sch.Mode

@@ -2,6 +2,7 @@ package muontrap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/attack"
@@ -96,24 +97,18 @@ func NewRunner(opts ...RunnerOption) *Runner {
 	for _, o := range opts {
 		o(r)
 	}
-	def := figures.DefaultOptions()
-	if r.scale <= 0 {
-		r.scale = def.Scale
-	}
-	if r.maxCycles <= 0 {
-		r.maxCycles = def.MaxCycles
-	}
+	// The runner's defaults are those a sweep declaring none resolves to.
+	def := Sweep{}.Normalize(r.scale, r.maxCycles)
+	r.scale, r.maxCycles = def.Scales[0], def.MaxCycles
 	return r
 }
 
-// options maps the runner's configuration (plus per-call overrides) to the
-// internal experiment options.
+// options maps the runner's configuration plus one cell's scale and cycle
+// bound to the internal experiment options. A non-positive declared scale
+// runs at the runner's default.
 func (r *Runner) options(scale float64, maxCycles int) figures.Options {
 	if scale <= 0 {
 		scale = r.scale
-	}
-	if maxCycles <= 0 {
-		maxCycles = r.maxCycles
 	}
 	return figures.Options{
 		Scale:           scale,
@@ -150,6 +145,93 @@ type Sweep struct {
 	Scales    []float64    `json:"scales,omitempty"`
 	MaxCycles int          `json:"max_cycles,omitempty"`
 	Attacks   []AttackName `json:"attacks,omitempty"`
+}
+
+// Cell is one unit of a sweep's matrix: a workload at one scale, or an
+// attack scenario, under one scheme. Exactly one of Workload and Attack
+// is set; Scheme is never empty. Scale is the declared scale verbatim
+// (zero for attack cells); a runner runs a non-positive one at its
+// default.
+type Cell struct {
+	Workload Workload
+	Attack   AttackName
+	Scheme   Scheme
+	Scale    float64
+}
+
+// Normalize fills a sweep's defaults without validating it: an empty
+// Scales becomes the one scale given, a non-positive MaxCycles the cycle
+// bound given, and an empty scheme the insecure baseline. A non-positive
+// scale or cycle bound argument means the library default (0.15, 40M).
+func (sw Sweep) Normalize(scale float64, maxCycles int) Sweep {
+	def := figures.DefaultOptions()
+	if len(sw.Scales) == 0 {
+		if scale <= 0 {
+			scale = def.Scale
+		}
+		sw.Scales = []float64{scale}
+	}
+	if sw.MaxCycles <= 0 {
+		if maxCycles <= 0 {
+			maxCycles = def.MaxCycles
+		}
+		sw.MaxCycles = maxCycles
+	}
+	schemes := make([]Scheme, len(sw.Schemes))
+	for i, s := range sw.Schemes {
+		if s == "" {
+			s = SchemeInsecure
+		}
+		schemes[i] = s
+	}
+	sw.Schemes = schemes
+	return sw
+}
+
+// Cells validates a sweep and expands its normalized declaration (see
+// Normalize) into cells in declaration order: workloads × schemes ×
+// scales, then attacks × schemes. Validation checks, in order, that the
+// sweep declares workloads or attacks and at least one scheme, then its
+// workloads, attacks and schemes, so the first bad identifier is reported
+// the same way by a Runner, a daemon and a fleet coordinator. Every one
+// of them expands a sweep through this function.
+func (sw Sweep) Cells(scale float64, maxCycles int) (Sweep, []Cell, error) {
+	if len(sw.Workloads) == 0 && len(sw.Attacks) == 0 {
+		return Sweep{}, nil, errors.New("muontrap: sweep declares no workloads or attacks")
+	}
+	if len(sw.Schemes) == 0 {
+		return Sweep{}, nil, errors.New("muontrap: sweep declares no schemes")
+	}
+	for _, w := range sw.Workloads {
+		if _, err := ParseWorkload(string(w)); err != nil {
+			return Sweep{}, nil, err
+		}
+	}
+	for _, a := range sw.Attacks {
+		if _, err := ParseAttackName(string(a)); err != nil {
+			return Sweep{}, nil, err
+		}
+	}
+	n := sw.Normalize(scale, maxCycles)
+	for _, s := range n.Schemes {
+		if _, err := ParseScheme(string(s)); err != nil {
+			return Sweep{}, nil, err
+		}
+	}
+	cells := make([]Cell, 0, (len(n.Workloads)*len(n.Scales)+len(n.Attacks))*len(n.Schemes))
+	for _, w := range n.Workloads {
+		for _, s := range n.Schemes {
+			for _, sc := range n.Scales {
+				cells = append(cells, Cell{Workload: w, Scheme: s, Scale: sc})
+			}
+		}
+	}
+	for _, a := range n.Attacks {
+		for _, s := range n.Schemes {
+			cells = append(cells, Cell{Attack: a, Scheme: s})
+		}
+	}
+	return n, cells, nil
 }
 
 // RunResult is one completed run with its full identity, so streamed
@@ -190,58 +272,26 @@ func (s *SweepResult) Find(w Workload, sch Scheme) (RunResult, bool) {
 	return RunResult{}, false
 }
 
-// resolve validates a (workload, scheme) pair against the registries. An
-// empty scheme defaults to the insecure baseline.
-func resolve(w Workload, s Scheme) (workload.Spec, defense.Scheme, error) {
-	spec, ok := workload.ByName(string(w))
-	if !ok {
-		return workload.Spec{}, defense.Scheme{}, fmt.Errorf("%w %q (see Workloads())", ErrUnknownWorkload, w)
-	}
-	sch, err := resolveScheme(s)
-	if err != nil {
-		return workload.Spec{}, defense.Scheme{}, err
-	}
-	return spec, sch, nil
-}
-
-// resolveScheme validates a scheme name alone (attack cells have no
-// workload). An empty scheme defaults to the insecure baseline.
-func resolveScheme(s Scheme) (defense.Scheme, error) {
-	if s == "" {
-		s = SchemeInsecure
-	}
-	sch, err := defense.ByName(string(s))
-	if err != nil {
-		return defense.Scheme{}, fmt.Errorf("%w %q (see Schemes())", ErrUnknownScheme, s)
-	}
-	return sch, nil
-}
-
 // Run executes one workload under one protection scheme and blocks until
 // it completes or ctx is cancelled (cancellation is observed inside the
 // simulation's cycle loop and surfaces as ctx.Err()). Single runs are
 // never memoized: every call is a fresh simulation, as throughput
 // benchmarking requires. Use Sweep for deduplicated, cached batches.
 func (r *Runner) Run(ctx context.Context, spec RunSpec) (RunResult, error) {
-	wspec, sch, err := resolve(spec.Workload, spec.Scheme)
+	sw := Sweep{Workloads: []Workload{spec.Workload}, Schemes: []Scheme{spec.Scheme}, MaxCycles: spec.MaxCycles}
+	if spec.Scale > 0 {
+		sw.Scales = []float64{spec.Scale}
+	}
+	n, cells, err := sw.Cells(r.scale, r.maxCycles)
 	if err != nil {
 		return RunResult{}, err
 	}
-	opt := r.options(spec.Scale, spec.MaxCycles)
-	res, err := figures.RunOne(ctx, wspec, sch, opt)
+	j := r.job(cells[0], n.MaxCycles)
+	res, err := figures.RunOne(ctx, j.Spec, j.Scheme, j.Opt)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return RunResult{
-		Workload: spec.Workload,
-		Scheme:   Scheme(sch.Name),
-		Scale:    opt.Scale,
-		Result: Result{
-			Cycles:       uint64(res.Cycles),
-			Instructions: res.Committed,
-			Counters:     res.Counters,
-		},
-	}, nil
+	return outcomeResult(figures.Outcome{Job: j, Res: res}), nil
 }
 
 // Sweep executes the declared matrix over the runner's worker pool and
@@ -253,46 +303,23 @@ func (r *Runner) Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 // The matrix is validated up front: an unknown identifier fails the whole
 // sweep before any simulation starts.
 func (r *Runner) Sweep(ctx context.Context, sw Sweep) (*SweepResult, error) {
-	scales := sw.Scales
-	if len(scales) == 0 {
-		scales = []float64{r.scale}
+	n, cells, err := sw.Cells(r.scale, r.maxCycles)
+	if err != nil {
+		return nil, err
 	}
-	if len(sw.Workloads) == 0 && len(sw.Attacks) == 0 {
-		return nil, fmt.Errorf("muontrap: sweep declares no workloads or attacks")
+	jobs := make([]figures.Job, len(cells))
+	for i, c := range cells {
+		jobs[i] = r.job(c, n.MaxCycles)
 	}
-	if len(sw.Schemes) == 0 {
-		return nil, fmt.Errorf("muontrap: sweep declares no schemes")
-	}
-	var jobs []figures.Job
-	for _, w := range sw.Workloads {
-		for _, s := range sw.Schemes {
-			wspec, sch, err := resolve(w, s)
-			if err != nil {
-				return nil, err
-			}
-			for _, scale := range scales {
-				opt := r.options(scale, sw.MaxCycles)
-				jobs = append(jobs, figures.Job{
-					Spec: wspec, Scheme: sch, Opt: opt,
-					Series: sch.Name, Work: wspec.Name,
-				})
-			}
+	ex := figures.Executor{Workers: r.workers}
+	if r.progress != nil {
+		done := 0
+		ex.OnResult = func(o figures.Outcome) {
+			done++ // serialized by the executor
+			r.progress(Progress{Done: done, Total: len(jobs), Run: outcomeResult(o)})
 		}
 	}
-	for _, a := range sw.Attacks {
-		sc, ok := attack.ScenarioByName(string(a))
-		if !ok {
-			return nil, fmt.Errorf("%w %q (see AttackNames())", ErrUnknownAttack, a)
-		}
-		for _, s := range sw.Schemes {
-			sch, err := resolveScheme(s)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, figures.AttackJob(sc, sch, r.options(0, 0)))
-		}
-	}
-	outs, err := r.execute(ctx, jobs)
+	outs, err := ex.Execute(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +340,7 @@ func (r *Runner) Figure(ctx context.Context, id FigureID) (*stats.Table, error) 
 	if !ok {
 		return nil, fmt.Errorf("%w %q (fig3..fig9)", ErrUnknownFigure, id)
 	}
-	return fn(ctx, r.options(0, 0))
+	return fn(ctx, r.options(r.scale, r.maxCycles))
 }
 
 var figureFns = map[FigureID]func(context.Context, figures.Options) (*stats.Table, error){
@@ -326,36 +353,29 @@ var figureFns = map[FigureID]func(context.Context, figures.Options) (*stats.Tabl
 	Fig9: figures.Fig9,
 }
 
-// execute runs jobs through the shared executor, wiring the runner's
-// progress callback.
-func (r *Runner) execute(ctx context.Context, jobs []figures.Job) ([]figures.Outcome, error) {
-	ex := figures.Executor{Workers: r.workers}
-	if r.progress != nil {
-		done := 0
-		total := len(jobs)
-		ex.OnResult = func(o figures.Outcome) {
-			done++ // serialized by the executor
-			r.progress(Progress{Done: done, Total: total, Run: outcomeResult(o)})
-		}
+// job maps one validated cell to an executor job.
+func (r *Runner) job(c Cell, maxCycles int) figures.Job {
+	sch, _ := defense.ByName(string(c.Scheme))
+	opt := r.options(c.Scale, maxCycles)
+	if c.Attack != "" {
+		sc, _ := attack.ScenarioByName(string(c.Attack))
+		return figures.AttackJob(sc, sch, opt)
 	}
-	return ex.Execute(ctx, jobs)
+	spec, _ := workload.ByName(string(c.Workload))
+	return figures.Job{Spec: spec, Scheme: sch, Opt: opt, Series: sch.Name, Work: spec.Name}
 }
 
 // outcomeResult converts an executor outcome to a public RunResult. The
 // counter map is copied: memoized cells share one map process-wide, and
 // the public result must be safe for callers to mutate.
 func outcomeResult(o figures.Outcome) RunResult {
-	scheme := o.Job.Scheme.Name
-	if scheme == "" {
-		scheme = o.Job.Series // custom-geometry cells carry no scheme
-	}
 	counters := make(map[string]uint64, len(o.Res.Counters))
 	for k, v := range o.Res.Counters {
 		counters[k] = v
 	}
 	return RunResult{
 		Workload: Workload(o.Job.Spec.Name),
-		Scheme:   Scheme(scheme),
+		Scheme:   Scheme(o.Job.Scheme.Name),
 		Scale:    o.Job.Opt.Scale,
 		Attack:   AttackName(o.Job.Attack),
 		Result: Result{

@@ -3,6 +3,7 @@ package muontrap
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/defense"
 	"repro/internal/figures"
@@ -40,19 +41,26 @@ type SecurityRow struct {
 	Results []AttackResult `json:"results"`
 }
 
-// Render prints the matrix as the canonical fixed-width table (the golden
-// artifact the regression suite pins).
+// Render prints the matrix as the canonical fixed-width table. The output
+// is a golden artifact: it is pinned byte for byte and compared across
+// in-process, disk-cached and fleet-sharded execution, so it depends only
+// on the verdicts, never on timing or environment.
 func (m *SecurityMatrixResult) Render() string {
-	fm := figures.SecurityMatrixResult{Schemes: make([]string, len(m.Schemes))}
-	for i, s := range m.Schemes {
-		fm.Schemes[i] = string(s)
+	var b strings.Builder
+	b.WriteString("Security matrix: scenario (rows) vs scheme (columns); leak(value,signal) or block(signal)\n")
+	fmt.Fprintf(&b, "%-16s", "scenario")
+	for _, s := range m.Schemes {
+		fmt.Fprintf(&b, " %-15s", s)
 	}
+	b.WriteByte('\n')
 	for _, row := range m.Rows {
-		fm.Rows = append(fm.Rows, figures.SecurityRow{
-			Scenario: string(row.Attack), Results: row.Results,
-		})
+		fmt.Fprintf(&b, "%-16s", row.Attack)
+		for _, r := range row.Results {
+			fmt.Fprintf(&b, " %-15s", figures.SecurityVerdict(r))
+		}
+		b.WriteByte('\n')
 	}
-	return fm.Render()
+	return b.String()
 }
 
 // AttackVerdict decodes the attack result an attack cell carries in its
@@ -79,44 +87,35 @@ func (r *Runner) SecurityMatrix(ctx context.Context) (*SecurityMatrixResult, err
 // SecurityMatrixFromSweep assembles the verdict table from a completed
 // sweep's attack cells — however the sweep ran (a local Runner, the
 // experiment service, or a fleet coordinator), the same declaration yields
-// the same table. The sweep must declare at least one attack and one
-// scheme; workload cells in the result are ignored.
+// the same table. The sweep must be valid and declare at least one attack;
+// res must hold one run per declared cell, in declaration order. Workload
+// cells are ignored.
 func SecurityMatrixFromSweep(sw Sweep, res *SweepResult) (*SecurityMatrixResult, error) {
-	if len(sw.Attacks) == 0 || len(sw.Schemes) == 0 {
+	n, cells, err := sw.Cells(0, 0)
+	if err != nil {
+		return nil, err
+	}
+	if len(n.Attacks) == 0 {
 		return nil, fmt.Errorf("muontrap: sweep declares no attack cells")
 	}
-	cells := make(map[AttackName]map[Scheme]AttackResult)
-	for _, run := range res.Runs {
-		if run.Attack == "" {
+	if len(res.Runs) != len(cells) {
+		return nil, fmt.Errorf("muontrap: sweep result holds %d runs for %d declared cells", len(res.Runs), len(cells))
+	}
+	m := &SecurityMatrixResult{Schemes: n.Schemes}
+	for i, c := range cells {
+		if c.Attack == "" {
 			continue
 		}
+		run := res.Runs[i]
 		v, ok := run.AttackVerdict()
-		if !ok {
-			return nil, fmt.Errorf("muontrap: attack cell %s/%s carries no verdict", run.Attack, run.Scheme)
+		if !ok || run.Attack != c.Attack || run.Scheme != c.Scheme {
+			return nil, fmt.Errorf("muontrap: sweep result is missing attack cell %s/%s", c.Attack, c.Scheme)
 		}
-		if cells[run.Attack] == nil {
-			cells[run.Attack] = make(map[Scheme]AttackResult)
+		if len(m.Rows) == 0 || len(m.Rows[len(m.Rows)-1].Results) == len(m.Schemes) {
+			m.Rows = append(m.Rows, SecurityRow{Attack: c.Attack})
 		}
-		cells[run.Attack][run.Scheme] = v
-	}
-	m := &SecurityMatrixResult{}
-	for _, s := range sw.Schemes {
-		sch, err := resolveScheme(s)
-		if err != nil {
-			return nil, err
-		}
-		m.Schemes = append(m.Schemes, Scheme(sch.Name))
-	}
-	for _, a := range sw.Attacks {
-		row := SecurityRow{Attack: a}
-		for _, s := range m.Schemes {
-			v, ok := cells[a][s]
-			if !ok {
-				return nil, fmt.Errorf("muontrap: sweep result is missing attack cell %s/%s", a, s)
-			}
-			row.Results = append(row.Results, v)
-		}
-		m.Rows = append(m.Rows, row)
+		row := &m.Rows[len(m.Rows)-1]
+		row.Results = append(row.Results, v)
 	}
 	return m, nil
 }
