@@ -26,13 +26,13 @@ func loopKernel(n int64) *isa.Program {
 	return b.MustBuild()
 }
 
-func warmSystem(tb testing.TB, defense cpu.Defense, mode memsys.Mode, iters int64) *sim.System {
+func warmSystem(tb testing.TB, defense cpu.Defense, mode memsys.Mode, prog *isa.Program) *sim.System {
 	tb.Helper()
 	cfg := sim.DefaultConfig(1)
 	cfg.CPU.Defense = defense
 	cfg.Mem.Mode = mode
 	s := sim.New(cfg)
-	p := s.NewProcess(loopKernel(iters))
+	p := s.NewProcess(prog)
 	s.RunOn(0, p, 0)
 	s.Step(20_000) // warm caches, predictor, pools and event-queue arrays
 	if s.Cores[0].Halted() {
@@ -44,24 +44,26 @@ func warmSystem(tb testing.TB, defense cpu.Defense, mode memsys.Mode, iters int6
 // TestDispatchCommitZeroAlloc pins the tentpole property on the pipeline:
 // the steady-state dispatch→commit cycle of a cached loop kernel performs
 // zero heap allocations — pooled dynInsts, pooled rename snapshots, ring
-// ROB/store-buffer, typed events and slot-parked completions.
+// ROB/store-buffer, typed events, slot-parked completions and the issue
+// queue's reused waiter and ready lists. The L1-resident pointer chase
+// keeps consumers waiting on loads, under both taint tracking and
+// invisible loads.
 func TestDispatchCommitZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		defense cpu.Defense
 		mode    memsys.Mode
+		prog    *isa.Program
 	}{
-		{"insecure", cpu.DefenseNone, memsys.Mode{}},
-		{"muontrap", cpu.DefenseNone, memsys.Mode{
-			L0Data: true, L0Inst: true,
-			FilterProtect: true, CoherenceProtect: true,
-			CommitPrefetch: true, FilterTLB: true,
-		}},
+		{"insecure", cpu.DefenseNone, memsys.Mode{}, loopKernel(40_000_000)},
+		{"muontrap", cpu.DefenseNone, mtMode, loopKernel(40_000_000)},
+		{"stt-future/dependent-load", cpu.DefenseSTTFuture, memsys.Mode{}, dependentLoadKernel(40_000_000)},
+		{"invisispec-future/dependent-load", cpu.DefenseInvisiSpecFuture, memsys.Mode{}, dependentLoadKernel(40_000_000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := warmSystem(t, tc.defense, tc.mode, 40_000_000)
+			s := warmSystem(t, tc.defense, tc.mode, tc.prog)
 			before := s.Cores[0].CommittedInsts()
-			allocs := testing.AllocsPerRun(500, func() { s.Step(1) })
+			allocs := testing.AllocsPerRun(50, func() { s.Step(50) })
 			if allocs != 0 {
 				t.Fatalf("steady-state step allocates %.2f, want 0", allocs)
 			}
@@ -76,7 +78,7 @@ func TestDispatchCommitZeroAlloc(t *testing.T) {
 // instructions per second on a cached ALU loop (no memory traffic after
 // warmup), isolating dispatch/issue/execute/commit from the memory system.
 func BenchmarkDispatchCommit(b *testing.B) {
-	s := warmSystem(b, cpu.DefenseNone, memsys.Mode{}, 4_000_000_000)
+	s := warmSystem(b, cpu.DefenseNone, memsys.Mode{}, loopKernel(4_000_000_000))
 	b.ReportAllocs()
 	start := s.Cores[0].CommittedInsts()
 	b.ResetTimer()

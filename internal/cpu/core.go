@@ -42,9 +42,13 @@ type Core struct {
 
 	// ROB, in program order; index 0 is the oldest.
 	rob instRing
-	iq  []*dynInst
-	lq  []*dynInst
-	sq  []*dynInst
+	// Issue queue: iq counts the dispatched, not yet issued entries;
+	// ready holds those whose operands are available, oldest first. The
+	// rest wait on their producers' waiter lists until wake moves them.
+	iq    int
+	ready []*dynInst
+	lq    []*dynInst
+	sq    []*dynInst
 
 	// Post-commit store buffer.
 	storeBuf       instRing
@@ -117,7 +121,7 @@ func NewCore(id int, cfg Config, sched *event.Scheduler, port *memsys.Port, phys
 	c.drainDone = func() { c.drainsInFlight-- }
 	c.rob.init(cfg.ROBSize)
 	c.storeBuf.init(cfg.StoreBufferSize)
-	c.iq = make([]*dynInst, 0, cfg.IQSize)
+	c.ready = make([]*dynInst, 0, cfg.IQSize)
 	c.lq = make([]*dynInst, 0, cfg.LQSize)
 	c.sq = make([]*dynInst, 0, cfg.SQSize)
 	c.growPool()
@@ -209,7 +213,8 @@ func (c *Core) flushPipeline() {
 		c.freeInst(d)
 	}
 	c.rob.clear()
-	c.iq = c.iq[:0]
+	c.iq = 0
+	c.ready = c.ready[:0]
 	c.lq = c.lq[:0]
 	c.sq = c.sq[:0]
 	for i := range c.rename {
@@ -277,7 +282,7 @@ func (c *Core) commit() {
 				// The load became safe only now: fire the exposure so the
 				// line still reaches the caches (asynchronously; the
 				// Spectre variant never blocks commit on it).
-				c.exposeLoad(d, false)
+				c.exposeLoad(d)
 			}
 			if !d.forwarded {
 				c.port.CommitLoad(d.pc, mem.VAddr(d.effAddr), d.paddr)
@@ -367,7 +372,7 @@ func (c *Core) commitReady(d *dynInst) bool {
 			return false
 		}
 		if c.cfg.Defense == DefenseInvisiSpecFuture && d.needsExpose && !d.exposeDone {
-			c.exposeLoad(d, true)
+			c.exposeLoad(d)
 			return false
 		}
 		return true
@@ -416,7 +421,7 @@ func (c *Core) drainStores() {
 // --- Fetch & dispatch ---
 
 func (c *Core) roomToDispatch() bool {
-	return c.rob.len() < c.cfg.ROBSize && len(c.iq) < c.cfg.IQSize
+	return c.rob.len() < c.cfg.ROBSize && c.iq < c.cfg.IQSize
 }
 
 // instPaddr derives an instruction's physical address from the cached
@@ -596,12 +601,10 @@ func (c *Core) dispatch(si *isa.StaticInst, pc uint64) *dynInst {
 	switch si.Class {
 	case isa.ClassLoad:
 		c.lq = append(c.lq, d)
-		c.iq = append(c.iq, d)
-		d.inIQ = true
+		c.enqueue(d)
 	case isa.ClassStore:
 		c.sq = append(c.sq, d)
-		c.iq = append(c.iq, d)
-		d.inIQ = true
+		c.enqueue(d)
 	case isa.ClassAmo:
 		// AMOs execute at the ROB head; no IQ entry. They sit in the SQ
 		// so younger loads order behind them (acquire semantics).
@@ -614,8 +617,7 @@ func (c *Core) dispatch(si *isa.StaticInst, pc uint64) *dynInst {
 		d.result = r.Value
 		d.done = true
 	default:
-		c.iq = append(c.iq, d)
-		d.inIQ = true
+		c.enqueue(d)
 	}
 	return d
 }

@@ -31,6 +31,10 @@
 //     different seq (or seq 0 while free); a mismatch means the producer
 //     committed (its value is architectural) or the event is stale and
 //     must be dropped.
+//   - Issue is wake-up driven: an instruction enters the age-ordered
+//     ready list at dispatch or when its last producer completes (wake),
+//     and issue walks only that list. Every completion that makes a
+//     register value available must call wake.
 //   - Commit is in order; stores update functional memory the moment they
 //     leave the store buffer, preserving per-core visibility order.
 //   - Quiesced() (empty pipeline, drained stores, no in-flight fetch) is

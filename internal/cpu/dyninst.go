@@ -4,6 +4,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/memsys"
 )
 
 // memPhase tracks a memory instruction's progress through its multi-step
@@ -55,6 +56,12 @@ type dynInst struct {
 	writesReg        bool
 	destReg          isa.Reg
 
+	// waiters are the issue-queue consumers that were dispatched before
+	// this instruction's result existed; completion wakes them (wake).
+	// The slice is kept across recycling of the slot, so it stops
+	// allocating once it has grown to the slot's peak.
+	waiters []instRef
+
 	// Pipeline state.
 	readyCycle uint64 // earliest issue cycle (frontend delay)
 	inIQ       bool
@@ -82,6 +89,10 @@ type dynInst struct {
 	needsExpose bool // executed invisibly; must replay when safe
 	exposing    bool
 	exposeDone  bool
+	// exposed is the slot's exposure completion, built on first use and
+	// kept across recycling like waiters (the slot pointer it captures
+	// is stable), so exposures allocate nothing in steady state.
+	exposed func(memsys.AccessResult)
 
 	// STT: the unsafe load this instruction's result transitively depends
 	// on (nil when untainted). Lazily untainted by checking the root's
@@ -91,6 +102,13 @@ type dynInst struct {
 
 	// Off-program-text or fault marker for synthesized halts.
 	synthetic bool
+}
+
+// instRef names a pooled instruction by (pool index, seq); a seq mismatch
+// at use means the instruction has since been squashed or recycled.
+type instRef struct {
+	idx int32
+	seq uint64
 }
 
 func (d *dynInst) isLoad() bool   { return d.si.IsLoad }
@@ -130,7 +148,7 @@ func (c *Core) allocInst() *dynInst {
 	idx := c.freeList[len(c.freeList)-1]
 	c.freeList = c.freeList[:len(c.freeList)-1]
 	d := c.insts[idx]
-	*d = dynInst{idx: idx}
+	*d = dynInst{idx: idx, waiters: d.waiters[:0], exposed: d.exposed}
 	c.seq++
 	d.seq = c.seq
 	return d

@@ -34,6 +34,7 @@ func (c *Core) HandleEvent(op int32, a1, a2 uint64) {
 		r := isa.Exec(d.si.Inst, d.pc, d.v1, d.v2)
 		d.result = r.Value
 		d.done = true
+		c.wake(d)
 		if d.isBranch() {
 			c.resolveBranch(d, r)
 		}
@@ -47,6 +48,7 @@ func (c *Core) HandleEvent(op int32, a1, a2 uint64) {
 		d.forwarded = true
 		d.done = true
 		d.phase = memDone
+		c.wake(d)
 	}
 }
 
@@ -97,6 +99,53 @@ func (c *Core) firstUndoneSeq() uint64 {
 	return ^uint64(0)
 }
 
+// enqueue inserts a dispatched instruction into the issue queue: onto the
+// ready list when its operands are available, otherwise onto the waiter
+// list of each producer still executing. A faulted producer supplies no
+// value and wakes nobody, so a consumer of one waits for the squash.
+func (c *Core) enqueue(d *dynInst) {
+	d.inIQ = true
+	c.iq++
+	if c.operandsReady(d) {
+		c.insertReady(d)
+		return
+	}
+	ref := instRef{d.idx, d.seq}
+	if p := d.src1; d.use1 && !d.v1Ready && !p.done {
+		p.waiters = append(p.waiters, ref)
+	}
+	if p := d.src2; d.use2 && !d.v2Ready && !p.done && p != d.src1 {
+		p.waiters = append(p.waiters, ref)
+	}
+}
+
+// wake is called when p completes without a fault: each live waiter
+// re-checks its operands (capturing their values) and joins the ready
+// list once the last of its producers is done. Squashed waiters were
+// freed at the squash, so their seq no longer matches.
+func (c *Core) wake(p *dynInst) {
+	for _, w := range p.waiters {
+		d := c.insts[w.idx]
+		if d.seq == w.seq && c.operandsReady(d) {
+			c.insertReady(d)
+		}
+	}
+	p.waiters = p.waiters[:0]
+}
+
+// insertReady keeps the ready list in age (seq) order, which is the order
+// issue selects in.
+func (c *Core) insertReady(d *dynInst) {
+	i := len(c.ready)
+	c.ready = append(c.ready, d)
+	for ; i > 0 && c.ready[i-1].seq > d.seq; i-- {
+		c.ready[i] = c.ready[i-1]
+	}
+	c.ready[i] = d
+}
+
+// issue selects, oldest first, up to IssueWidth ready instructions whose
+// frontend delay has elapsed and whose functional unit is free.
 func (c *Core) issue() {
 	now := uint64(c.sched.Now())
 	issued := 0
@@ -110,16 +159,16 @@ func (c *Core) issue() {
 	}
 	memFree := 2 // load/store pipes per cycle
 
-	// Single pass with in-place compaction: issued and squashed entries
-	// are dropped, everything else keeps its age order. The compaction
-	// write index always trails the read index, so the in-place append is
+	// Issued entries leave the ready list; the rest keep their age order.
+	// The write index trails the read index, so compacting in place is
 	// safe.
-	out := c.iq[:0]
-	for _, d := range c.iq {
-		if d.squashed || d.issued {
-			continue
+	out := c.ready[:0]
+	for i, d := range c.ready {
+		if issued >= c.cfg.IssueWidth {
+			out = append(out, c.ready[i:]...)
+			break
 		}
-		if issued >= c.cfg.IssueWidth || d.readyCycle > now || !c.operandsReady(d) {
+		if d.readyCycle > now {
 			out = append(out, d)
 			continue
 		}
@@ -176,11 +225,12 @@ func (c *Core) issue() {
 		if ok {
 			d.issued = true
 			issued++
+			c.iq--
 			continue
 		}
 		out = append(out, d)
 	}
-	c.iq = out
+	c.ready = out
 }
 
 // execALU schedules a register-to-register instruction (including branch
@@ -234,10 +284,14 @@ func (c *Core) squashAfter(d *dynInst, newPC uint64, actualTaken bool) {
 		return // already squashed by an older branch
 	}
 	for i := pos + 1; i < c.rob.len(); i++ {
-		c.rob.at(i).squashed = true
+		y := c.rob.at(i)
+		y.squashed = true
 		c.Squashed++
+		if y.inIQ && !y.issued {
+			c.iq--
+		}
 	}
-	c.iq = filterSquashed(c.iq)
+	c.ready = filterSquashed(c.ready)
 	c.lq = filterSquashed(c.lq)
 	c.sq = filterSquashed(c.sq)
 	if d.checkpoint != nil {
@@ -347,10 +401,10 @@ func (c *Core) reissueLoad(d *dynInst, spec bool) {
 }
 
 func (c *Core) finishLoad(d *dynInst) {
-
 	d.result = c.phys.Read64(d.paddr)
 	d.done = true
 	d.phase = memDone
+	c.wake(d)
 }
 
 // searchOlderStores looks for the youngest older store to the same
@@ -466,6 +520,7 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 			if !d.squashed {
 				d.done = true
 				d.phase = memDone
+				c.wake(d)
 			}
 			c.unpin(d)
 		})
@@ -484,7 +539,7 @@ func (c *Core) defenseMaintenance() {
 				continue
 			}
 			if d.done && c.loadSafe(d) {
-				c.exposeLoad(d, false)
+				c.exposeLoad(d)
 			}
 		}
 	}
@@ -492,20 +547,22 @@ func (c *Core) defenseMaintenance() {
 }
 
 // exposeLoad replays an invisible load as a normal access, installing the
-// line. blocking marks InvisiSpec-Future validations that hold commit.
-// The closure pins the dynInst: a Spectre-variant exposure can outlive the
-// load's commit, and the pin keeps the pool slot alive until it lands.
-func (c *Core) exposeLoad(d *dynInst, blocking bool) {
+// line. The completion pins the dynInst: a Spectre-variant exposure can
+// outlive the load's commit, and the pin keeps the pool slot alive until
+// it lands.
+func (c *Core) exposeLoad(d *dynInst) {
 	if d.exposing || d.exposeDone {
 		return
 	}
 	d.exposing = true
 	c.Exposures++
 	d.pins++
-	c.port.LoadExpose(d.pc, mem.VAddr(d.effAddr), d.paddr, func(memsys.AccessResult) {
-		d.exposing = false
-		d.exposeDone = true
-		c.unpin(d)
-	})
-	_ = blocking
+	if d.exposed == nil {
+		d.exposed = func(memsys.AccessResult) {
+			d.exposing = false
+			d.exposeDone = true
+			c.unpin(d)
+		}
+	}
+	c.port.LoadExpose(d.pc, mem.VAddr(d.effAddr), d.paddr, d.exposed)
 }
